@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from largesieve import asymptotics, exceptional, lsi
+from largesieve.arith import factorize
 from largesieve.characters import chi4, real_primitive_characters
 from largesieve.errors import DomainError, ResourceLimitError
 
@@ -73,6 +74,13 @@ def report_row(rep: lsi.InequalityReport, sabotage: bool = False) -> dict:
     }
 
 
+def _json_value(x):
+    """Non-finite floats as the text CSV prints, so the output stays valid JSON."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return _fmt(x)
+    return x
+
+
 def emit(rows: list[dict], columns: list[str], args) -> None:
     out = sys.stdout
     close = False
@@ -81,7 +89,8 @@ def emit(rows: list[dict], columns: list[str], args) -> None:
         close = True
     try:
         if args.format == "json":
-            out.write(json.dumps(rows, default=str, indent=2))
+            rows = [{k: _json_value(v) for k, v in row.items()} for row in rows]
+            out.write(json.dumps(rows, default=str, indent=2, allow_nan=False))
             out.write("\n")
         else:
             out.write(",".join(columns) + "\n")
@@ -98,6 +107,28 @@ def _int_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
+
+
+def validate_args(args) -> None:
+    """Reject inputs that admit no verdict, as a usage error (exit 2)."""
+    if args.command == "verify":
+        if args.N < 1:
+            raise DomainError("N must be >= 1")
+        if args.M < 0:
+            raise DomainError("M must be >= 0")
+        if args.trials < 1:
+            raise DomainError("trials must be >= 1")
+        if args.ineq == "eq15" and args.q < 1:
+            raise DomainError("q must be >= 1")
+        if args.ineq == "thm12":
+            for p in _int_list(args.P):
+                if p < 2 or factorize(p).factors != ((p, 1),):
+                    raise DomainError(f"P must list primes; got {p}")
+        if args.ineq == "prop21" and args.R < 1:
+            raise DomainError("R must be >= 1")
+    elif args.command == "scan" and args.name == "lemma21":
+        if any(q < 1 for q in _int_list(args.q)):
+            raise DomainError("every q must be >= 1")
 
 
 # ---------------------------------------------------------------------
@@ -314,6 +345,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        validate_args(args)
         if args.command == "verify":
             rows = cmd_verify(args)
             columns = VERIFY_COLUMNS

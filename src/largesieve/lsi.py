@@ -114,8 +114,8 @@ class SupportRestriction:
     def validate(self, a: CoefficientSequence, context: str) -> None:
         if self.kind == "none":
             return
-        n = a.n_values
-        bad = n[(np.abs(a.values) > 0) & ~self.allowed_mask(n)]
+        n = np.flatnonzero(np.abs(a.values) > 0) + (a.M + 1)
+        bad = n[~self.allowed_mask(n)]
         if bad.size:
             raise SupportError(
                 f"{context}: {bad.size} coefficients violate the support "
@@ -156,10 +156,22 @@ def make_report(inequality_id: str, parameters: dict, lhs: float, rhs: float,
 
 
 def residue_sums(a: CoefficientSequence, q: int) -> np.ndarray:
-    """b_u = sum of a_n over n = u (mod q), u = 0..q-1."""
-    r = (a.n_values % q).astype(np.int64)
-    return (np.bincount(r, weights=a.values.real, minlength=q)
-            + 1j * np.bincount(r, weights=a.values.imag, minlength=q))
+    """b_u = sum of a_n over n = u (mod q), u = 0..q-1.
+
+    Folds the coefficients period by period: the partial head period lands
+    in b[s:], where s is the residue of the first n; the full periods are
+    summed as a (k, q) view of the vector; the tail lands in b[:t].
+    """
+    v = a.values
+    b = np.zeros(q, dtype=np.complex128)
+    s = (a.M + 1) % q
+    head = min(-s % q, v.size)
+    b[s:s + head] = v[:head]
+    k, t = divmod(v.size - head, q)
+    if k:
+        b += v[head:head + k * q].reshape(k, q).sum(axis=0)
+    b[:t] += v[v.size - t:]
+    return b
 
 
 def char_sum(chi: DirichletCharacter, a: CoefficientSequence) -> complex:

@@ -138,3 +138,44 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert path.read_text().startswith("inequality,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--ineq", "eq15", "--q", "0"],
+    ["scan", "lemma21", "--q", "0"],
+    ["verify", "--ineq", "mvs", "--M", "-5"],
+    ["verify", "--ineq", "mvs", "--N", "0"],
+    ["verify", "--ineq", "bd", "--trials", "0"],
+    ["verify", "--ineq", "thm12", "--P", "4"],
+    ["verify", "--ineq", "prop21", "--R", "0", "--trials", "1"],
+])
+def test_bad_input_is_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_json_is_strict_and_prop21_checks_something(capsys):
+    code, out = run_cli(capsys, "--format", "json", "verify", "--ineq", "prop21",
+                        "--R", "1", "--trials", "1", "--N", "100", "--Q", "5")
+    assert code == 0
+    (row,) = json.loads(out, parse_constant=_reject_constant)
+    assert math.isfinite(row["rhs"]) and row["pass"] is True
+
+
+def test_json_encodes_non_finite_as_csv_text(capsys):
+    from types import SimpleNamespace
+
+    from largesieve.cli import emit
+    row = {"lhs": math.inf, "rhs": -math.inf, "ratio": math.nan, "pass": False}
+    emit([row], list(row), SimpleNamespace(out=None, format="json"))
+    rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rows == [{"lhs": "inf", "rhs": "-inf", "ratio": "nan", "pass": False}]
+    emit([row], list(row), SimpleNamespace(out=None, format="csv"))
+    assert capsys.readouterr().out.split("\n")[1] == "inf,-inf,nan,False"

@@ -58,11 +58,65 @@ def test_support_validation_raises():
         SupportRestriction.rough(3).validate(a, "test")
 
 
+def test_support_validation_reads_only_nonzero_entries():
+    rough = SupportRestriction.rough(3)  # forbids multiples of 2 and 3
+    vals = np.zeros(20, dtype=np.complex128)
+    vals[[0, 6, 12]] = 2.0 - 1.0j  # n = 1, 7, 13; zeros at every forbidden n
+    rough.validate(CoefficientSequence(0, vals), "test")
+    vals[9] = 1e-300  # n = 10
+    with pytest.raises(SupportError, match=r"1 coefficients .*\(first at n=10\)"):
+        rough.validate(CoefficientSequence(0, vals), "test")
+    vals = np.zeros(20, dtype=np.complex128)
+    vals[[0, 4, 6]] = 1.0  # n = 6, 10, 12 with M = 5
+    with pytest.raises(SupportError, match=r"test: 3 coefficients .*\(first at n=6\)"):
+        rough.validate(CoefficientSequence(5, vals), "test")
+
+
 def test_report_edge_rules():
     rep = make_report("x", {}, 0.0, 0.0)
     assert rep.passed and rep.ratio == 0.0
     rep = make_report("x", {}, 1.0, 0.0)
     assert not rep.passed and rep.ratio == math.inf
+
+
+# ---------------------------------------------------------------------
+# residue sums
+
+
+def residue_oracle(a, q):
+    b = np.zeros(q, dtype=np.complex128)
+    for n, an in zip(range(a.M + 1, a.M + a.N + 1), a.values):
+        b[n % q] += an
+    return b
+
+
+def integer_coeffs(N, M):
+    rng = np.random.default_rng([N, M])
+    return CoefficientSequence(M, rng.integers(-9, 10, N) + 1j * rng.integers(-9, 10, N))
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 7])
+def test_residue_sums_fold_matches_loop(q):
+    for M in range(q + 1):  # every start residue, and one full period beyond
+        for N in sorted({0, 1, q - 1, q, q + 1, 3 * q + 2}):
+            a = integer_coeffs(N, M)
+            b = lsi.residue_sums(a, q)
+            assert b.shape == (q,) and b.dtype == np.complex128
+            assert np.array_equal(b, residue_oracle(a, q)), (q, M, N)
+
+
+def test_residue_sums_modulus_above_length():
+    for q, M, N in ((11, 0, 4), (11, 8, 4), (50, 123, 7), (1000, 999, 1)):
+        a = integer_coeffs(N, M)
+        assert np.array_equal(lsi.residue_sums(a, q), residue_oracle(a, q))
+
+
+def test_residue_sums_random_complex():
+    a = random_sequence(5003, M=17, seed=4, trial=0)
+    for q in (1, 3, 64, 97, 5003, 6000):
+        got = lsi.residue_sums(a, q)
+        ref = residue_oracle(a, q)
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
 # ---------------------------------------------------------------------
