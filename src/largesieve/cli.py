@@ -49,13 +49,9 @@ def _fold_extras(d: dict) -> str:
 
 
 def report_row(rep: lsi.InequalityReport, sabotage: bool = False) -> dict:
-    rhs = rep.rhs * 0.5 if sabotage else rep.rhs
-    if rhs == 0.0:
-        ratio = 0.0 if rep.lhs == 0.0 else math.inf
-    else:
-        ratio = rep.lhs / rhs
-    passed = (rep.lhs >= rhs * (1 - lsi.REL_TOL)) if rep.inequality_id == "eq15" \
-        else (rep.lhs <= rhs * (1 + lsi.REL_TOL))
+    if sabotage:
+        rep = lsi.make_report(rep.inequality_id, rep.parameters, rep.lhs, rep.rhs * 0.5,
+                              rep.direction, rep.extras)
     params = dict(rep.parameters)
     extra = {k: v for k, v in params.items()
              if k not in ("M", "N", "Q", "seed")}
@@ -68,9 +64,9 @@ def report_row(rep: lsi.InequalityReport, sabotage: bool = False) -> dict:
         "extra_params": _fold_extras(extra),
         "seed": params.get("seed", ""),
         "lhs": rep.lhs,
-        "rhs": rhs,
-        "ratio": ratio,
-        "pass": passed,
+        "rhs": rep.rhs,
+        "ratio": rep.ratio,
+        "pass": rep.passed,
     }
 
 
@@ -101,12 +97,18 @@ def emit(rows: list[dict], columns: list[str], args) -> None:
             out.close()
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(float(part)) for part in text.split(",") if part]
-
-
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+    try:
+        values = [float(part) for part in text.split(",") if part]
+    except ValueError:
+        values = [math.nan]
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"not a comma list of finite numbers: {text!r}")
+    return values
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in _float_list(text)]
 
 
 def validate_args(args) -> None:
@@ -120,15 +122,24 @@ def validate_args(args) -> None:
             raise DomainError("trials must be >= 1")
         if args.ineq == "eq15" and args.q < 1:
             raise DomainError("q must be >= 1")
+        if args.ineq != "eq15" and args.Q < 1:
+            raise DomainError("Q must be >= 1")
+        if args.ineq == "thm21":
+            lsi.check_thm21_range(args.N, args.Q)
         if args.ineq == "thm12":
             for p in _int_list(args.P):
                 if p < 2 or factorize(p).factors != ((p, 1),):
                     raise DomainError(f"P must list primes; got {p}")
         if args.ineq == "prop21" and args.R < 1:
             raise DomainError("R must be >= 1")
-    elif args.command == "scan" and args.name == "lemma21":
-        if any(q < 1 for q in _int_list(args.q)):
-            raise DomainError("every q must be >= 1")
+    elif args.command == "scan":
+        for name in ("N", "q", "x", "D", "eps"):
+            text = getattr(args, name)
+            if text is not None and not _float_list(text):
+                raise DomainError(f"--{name} must list at least one value")
+        for name in ("q", "D"):
+            if any(v < 1 for v in _int_list(getattr(args, name))):
+                raise DomainError(f"every {name} must be >= 1")
 
 
 # ---------------------------------------------------------------------
@@ -155,10 +166,9 @@ def cmd_verify(args) -> list[dict]:
         reports.append(lsi.check_eq15(args.q, args.X))
     elif ineq == "thm21":
         N = args.N
-        n = np.arange(1, N + 1)
-        lam = exceptional.coeffs_lambda_f(max(N, 3), exceptional.indicator_function())
+        lam = exceptional.coeffs_lambda_f(N, exceptional.indicator_function())
         a = lsi.CoefficientSequence(
-            0, lam.values / np.sqrt(n) / math.log(N))
+            0, lam.values / np.sqrt(np.arange(1, N + 1)) / math.log(N))
         reports.append(lsi.lsi_thm21(a, args.Q, condition_slack=args.slack))
     elif ineq in ("mvs", "bd", "thm13"):
         fn = {"mvs": lsi.lsi_mvs, "bd": lsi.lsi_bd, "thm13": lsi.lsi_thm13}[ineq]
@@ -252,19 +262,14 @@ def scan_exceptional(args) -> tuple[list[dict], list[str]]:
         for idx in range(n_chars):
             for N in _int_list(args.N or "1e4"):
                 setup = exceptional.make_setup(D, N, f, char_index=idx)
-                lem = exceptional.lemma31_report(setup)
-                rows.append({"report": "lemma31", "D": D, "char_index": idx,
-                             "N": N, "Q": setup.Q_real, "f": f.kind,
-                             "lhs": lem.lhs,
-                             "fitted_constant": lem.extras["fitted_kappa"],
-                             "L1": lem.extras["L1"], "pass": lem.passed})
+                reports = [(exceptional.lemma31_report(setup), "fitted_kappa")]
                 if f.kind == "indicator":
-                    prop = exceptional.prop31_report(setup)
-                    rows.append({"report": "prop31", "D": D, "char_index": idx,
-                                 "N": N, "Q": setup.Q_real, "f": f.kind,
-                                 "lhs": prop.lhs,
-                                 "fitted_constant": prop.extras["C0"],
-                                 "L1": prop.extras["L1"], "pass": prop.passed})
+                    reports.append((exceptional.prop31_report(setup), "C0"))
+                for rep, constant in reports:
+                    rows.append({"report": rep.inequality_id, "D": D, "char_index": idx,
+                                 "N": N, "Q": setup.Q_real, "f": f.kind, "lhs": rep.lhs,
+                                 "fitted_constant": rep.extras[constant],
+                                 "L1": rep.extras["L1"], "pass": rep.passed})
     return rows, ["report", "D", "char_index", "N", "Q", "f", "lhs",
                   "fitted_constant", "L1", "pass"]
 
@@ -273,7 +278,7 @@ def scan_prop32(args) -> tuple[list[dict], list[str]]:
     rows = []
     for D in _int_list(args.D):
         for eps in _float_list(args.eps):
-            lo, hi = D ** (1 / eps**2), D ** (1 / eps**3)
+            lo, hi = exceptional.prop32_window(D, eps)
             N = _int_list(args.N)[0] if args.N else int(math.sqrt(lo * hi))
             if not lo < N < hi:
                 N = max(int(lo) + 1, min(int(hi) - 1, N))
@@ -357,6 +362,8 @@ def main(argv=None) -> int:
                        "exceptional": scan_exceptional,
                        "prop32": scan_prop32}[args.name]
             rows, columns = handler(args)
+        if not rows:
+            raise DomainError("the arguments select nothing to check")
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3

@@ -14,15 +14,15 @@ from typing import Callable
 
 import numpy as np
 
-from largesieve import _backend, arith
 from largesieve.arith import factorize, von_mangoldt_table
-from largesieve.characters import (DirichletCharacter, group, is_primitive,
+# group, is_primitive and residue_sums are unused here but stay importable from
+# this module: perfbench/test_perfbench.py checks that its tracer wraps them.
+from largesieve.characters import (DirichletCharacter, group, is_primitive,  # noqa: F401
                                    real_primitive_characters)
 from largesieve.errors import DomainError
-from largesieve.lsi import (CoefficientSequence, InequalityReport, make_report,
-                            primitive_char_sums, residue_sums)
-
-REL_TOL = 1e-9
+from largesieve.lsi import (REL_TOL, CoefficientSequence, InequalityReport,  # noqa: F401
+                            char_sum, make_report, prime_indicator,
+                            primitive_char_sums, residue_sums, sieve_lhs)
 
 
 # ---------------------------------------------------------------------
@@ -108,6 +108,8 @@ class ExceptionalSetup:
 def make_setup(D: int, N: int, f: TestFunction | None = None,
                char_index: int = 0) -> ExceptionalSetup:
     """Build a setup, validating 3 <= D <= sqrt(N)/log N."""
+    if N < 3:
+        raise DomainError("N must be >= 3")
     chars = real_primitive_characters(D)
     if not chars:
         raise DomainError(f"no real primitive character of conductor {D} exists")
@@ -164,12 +166,12 @@ class LTruncation:
 def L1_chiD(chi_D: DirichletCharacter, truncation: int | None = None) -> LTruncation:
     """sum over n <= T of chi_D(n)/n, tail bounded by D/T.
 
-    Default truncation max(10^6, 10^3 D) keeps the relative tail below
-    about 10^-3 for desk-scale conductors.
+    Default truncation max(10^6, 10^3 D, D^2) keeps the relative tail below
+    about 10^-3 for desk-scale conductors and meets the T >= D^2 guard.
     """
     D = chi_D.modulus
     if truncation is None:
-        truncation = max(10**6, 10**3 * D)
+        truncation = max(10**6, 10**3 * D, D * D)
     T = int(truncation)
     if T < D * D:
         raise DomainError(f"truncation {T} below D^2 = {D * D}: tail bound too weak")
@@ -197,10 +199,8 @@ def eq37_check(a: CoefficientSequence, chi_D: DirichletCharacter) -> InequalityR
     if np.any(np.abs(vals.imag) > 0) or np.any(vals.real < 0):
         raise DomainError("requires real nonnegative coefficients")
     D = chi_D.modulus
-    b = residue_sums(a, D) if D > 1 else np.array([a.total()])
-    chi_table = chi_D.values() if D > 1 else np.ones(1)
     x = a.total().real
-    chi_sum = float((chi_table @ b).real) if D > 1 else x
+    chi_sum = char_sum(chi_D, a).real
     rho_sum = x + chi_sum
     lower = x * x - 2.0 * x * rho_sum
     return make_report("eq37", {"M": a.M, "N": a.N, "D": D},
@@ -211,18 +211,7 @@ def eq37_check(a: CoefficientSequence, chi_D: DirichletCharacter) -> InequalityR
 def _log_weighted_lhs(a: CoefficientSequence, Q: float,
                       exclude: DirichletCharacter | None) -> float:
     """sum over 1 < q <= Q of log(Q/q) sum* over chi != exclude of |S_chi|^2."""
-    lhs = 0.0
-    for q in range(2, math.floor(Q) + 1):
-        chars, sums = primitive_char_sums(a, q)
-        if not chars:
-            continue
-        sq = np.abs(sums) ** 2
-        if exclude is not None and exclude.modulus == q:
-            for i, chi in enumerate(chars):
-                if chi == exclude:
-                    sq[i] = 0.0
-        lhs += math.log(Q / q) * float(np.sum(sq))
-    return lhs
+    return sieve_lhs(a, lambda q: math.log(Q / q), range(2, math.floor(Q) + 1), exclude)
 
 
 def lemma31_report(setup: ExceptionalSetup, kappa_limit: float = 50.0,
@@ -295,6 +284,16 @@ class Prop32Report:
     worst: dict
 
 
+def prop32_window(D: int, eps: float) -> tuple[float, float]:
+    """The range D^(1/eps^2) < N < D^(1/eps^3) in which prop32 applies."""
+    if not 0 < eps < 1:
+        raise DomainError("eps must lie in (0, 1)")
+    try:
+        return D ** (1 / eps**2), D ** (1 / eps**3)
+    except OverflowError:
+        raise DomainError(f"the window D^(1/eps^3) overflows for D = {D}, eps = {eps}") from None
+
+
 def prop32_check(D: int, eps: float, N: int, q_max: int,
                  char_index: int = 0) -> Prop32Report:
     """Evaluate the hypothesis L(1,chi_D) log D <= eps^5, then scan.
@@ -303,9 +302,7 @@ def prop32_check(D: int, eps: float, N: int, q_max: int,
     excluding chi_D, and compares max |sum_{n<=N} chi(n) Lambda(n)| with
     3 eps N.  When the hypothesis fails the conclusion is left untested.
     """
-    if not 0 < eps < 1:
-        raise DomainError("eps must lie in (0, 1)")
-    lo, hi = D ** (1 / eps**2), D ** (1 / eps**3)
+    lo, hi = prop32_window(D, eps)
     if not lo < N < hi:
         raise DomainError(
             f"N must lie in the window D^(1/eps^2) < N < D^(1/eps^3) "
@@ -342,16 +339,6 @@ def prop32_check(D: int, eps: float, N: int, q_max: int,
         worst=worst)
 
 
-def prime_indicator(M: int, N: int) -> CoefficientSequence:
-    """a_p = 1 at primes in (M, M+N], zero elsewhere."""
-    table = arith.sieve_primes(M + N)
-    ps = table.primes
-    vals = np.zeros(N, dtype=np.complex128)
-    in_range = ps[(ps > M) & (ps <= M + N)]
-    vals[in_range - M - 1] = 1.0
-    return CoefficientSequence(M, vals)
-
-
 def eq31_check(a: CoefficientSequence, Q: float,
                chi_D: DirichletCharacter) -> InequalityReport:
     """Prime-indicator sieve with the principal and chi_D terms extracted.
@@ -362,17 +349,12 @@ def eq31_check(a: CoefficientSequence, Q: float,
     D = chi_D.modulus
     if D > Q:
         raise DomainError(f"requires D <= Q; got D = {D}, Q = {Q}")
-    n = a.n_values
-    nonzero = np.abs(a.values) > 0
-    if not np.all(a.values[nonzero] == 1.0):
-        raise DomainError("coefficients must form a 0/1 prime indicator")
-    mask = _backend.prime_mask(int(a.M + a.N))
-    if not np.all(mask[n[nonzero]] == 1) or int(mask[n].sum()) != int(nonzero.sum()):
+    if not np.array_equal(a.values, prime_indicator(a.M, a.N).values):
         raise DomainError("coefficients must be the indicator of every prime in (M, M+N]")
-    P = float(nonzero.sum())
+    ps = a.n_values[a.values.real > 0]
+    P = float(ps.size)
     lhs = _log_weighted_lhs(a, Q, chi_D)
-    chi_table = chi_D.values().real
-    lam_sum = float(np.sum(1.0 + chi_table[n[nonzero] % D]))
+    lam_sum = float(np.sum(1.0 + chi_D.values().real[ps % D]))
     rhs = ((Q * Q + a.N) * P - math.log(Q * Q / D) * P * P
            + 2.0 * math.log(Q / D) * P * lam_sum)
     return make_report("eq31", {"M": a.M, "N": a.N, "Q": Q, "D": D}, lhs, rhs,

@@ -1,9 +1,12 @@
 """Large sieve inequality evaluators.
 
 Each evaluator computes the exact left and right sides of one inequality
-for a concrete coefficient sequence and returns an InequalityReport.  The
-(q, chi) grid is always reduced in ascending q, then character index, so
-reported values are reproducible bit for bit.
+for a concrete coefficient sequence and returns an InequalityReport.  Every
+left side except thm12's and thm13's is one call of sieve_lhs: a weight
+w(q) times the primitive-character energy E(q) = sum of |S(chi)|^2 over
+the primitive chi mod q, summed over a q-range.  Each E(q) is summed in
+character order, and the weighted terms are added as Python floats in
+ascending q, so reported values are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from largesieve import arith, expsums
-from largesieve.arith import euler_phi, factorize, mobius, prime_table
+from largesieve.arith import euler_phi, factorize, prime_table
 from largesieve.characters import DirichletCharacter, group, is_primitive
 from largesieve.errors import DomainError, SupportError
 
@@ -133,6 +136,7 @@ class InequalityReport:
     ratio: float
     passed: bool
     extras: dict = field(default_factory=dict)
+    direction: str = "le"  # "le": pass means lhs <= rhs; "ge": lhs >= rhs
 
 
 def make_report(inequality_id: str, parameters: dict, lhs: float, rhs: float,
@@ -148,7 +152,7 @@ def make_report(inequality_id: str, parameters: dict, lhs: float, rhs: float,
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return InequalityReport(inequality_id, dict(parameters), float(lhs), float(rhs),
-                            float(ratio), bool(passed), extras or {})
+                            float(ratio), bool(passed), extras or {}, direction)
 
 
 # ---------------------------------------------------------------------
@@ -174,12 +178,16 @@ def residue_sums(a: CoefficientSequence, q: int) -> np.ndarray:
     return b
 
 
+def _char_sums(a: CoefficientSequence, g, chars) -> np.ndarray:
+    """S(chi) = sum over M < n <= M+N of a_n chi(n), for each chi in chars of group g."""
+    if g.modulus == 1:
+        return np.full(len(chars), a.total())
+    return g.value_matrix(chars) @ residue_sums(a, g.modulus)
+
+
 def char_sum(chi: DirichletCharacter, a: CoefficientSequence) -> complex:
     """sum over M < n <= M+N of a_n chi(n)."""
-    q = chi.modulus
-    if q == 1:
-        return a.total()
-    return complex(chi.values() @ residue_sums(a, q))
+    return complex(_char_sums(a, chi.group, [chi])[0])
 
 
 def primitive_char_sums(a: CoefficientSequence, q: int):
@@ -188,21 +196,37 @@ def primitive_char_sums(a: CoefficientSequence, q: int):
     chars = [chi for chi in g.characters() if is_primitive(chi)]
     if not chars:
         return chars, np.zeros(0, dtype=np.complex128)
-    if q == 1:
-        return chars, np.array([a.total()])
-    V = g.value_matrix(chars)
-    return chars, V @ residue_sums(a, q)
+    return chars, _char_sums(a, g, chars)
 
 
-def sum_sq_primitive(a: CoefficientSequence, q: int) -> float:
-    _, sums = primitive_char_sums(a, q)
-    return float(np.sum(np.abs(sums) ** 2))
+def sieve_lhs(a: CoefficientSequence, weight, qs,
+              exclude: DirichletCharacter | None = None) -> float:
+    """sum over q in qs of weight(q) * E(q), summed in the order of qs.
+
+    E(q) is the sum of |S(chi)|^2 over the primitive characters mod q,
+    leaving out the character exclude when one is given.
+    """
+    lhs = 0.0
+    for q in qs:
+        chars, sums = primitive_char_sums(a, q)
+        sq = np.abs(sums) ** 2
+        if exclude is not None and exclude.modulus == q:
+            sq[[chi == exclude for chi in chars]] = 0.0
+        lhs += weight(q) * float(np.sum(sq))
+    return lhs
 
 
-def _squarefree_phi_sum(X: float, q: int) -> float:
-    """sum over squarefree r <= X with (r, q) = 1 of 1/phi(r)."""
+def _moduli(Q: int) -> range:
+    """The moduli q = 1..Q of a sieve, after checking Q >= 1."""
+    if Q < 1:
+        raise DomainError("Q must be >= 1")
+    return range(1, Q + 1)
+
+
+def _squarefree_phi_sum(rs, q: int) -> float:
+    """sum over squarefree r in rs with (r, q) = 1 of 1/phi(r), in the order of rs."""
     total = 0.0
-    for r in range(1, math.floor(X) + 1):
+    for r in rs:
         if q > 1 and math.gcd(r, q) != 1:
             continue
         f = factorize(r)
@@ -218,18 +242,14 @@ def _squarefree_phi_sum(X: float, q: int) -> float:
 
 def lsi_mvs(a: CoefficientSequence, Q: int) -> InequalityReport:
     """Montgomery-Vaughan/Selberg form: RHS weight N + Q^2."""
-    if Q < 1:
-        raise DomainError("Q must be >= 1")
-    lhs = sum(q / euler_phi(q) * sum_sq_primitive(a, q) for q in range(1, Q + 1))
+    lhs = sieve_lhs(a, lambda q: q / euler_phi(q), _moduli(Q))
     rhs = (a.N + Q * Q) * a.norm_sq
     return make_report("mvs", _params(a, Q=Q), lhs, rhs)
 
 
 def lsi_bd(a: CoefficientSequence, Q: int) -> InequalityReport:
     """Original Bombieri-Davenport form: RHS weight (sqrt(N) + Q)^2."""
-    if Q < 1:
-        raise DomainError("Q must be >= 1")
-    lhs = sum(q / euler_phi(q) * sum_sq_primitive(a, q) for q in range(1, Q + 1))
+    lhs = sieve_lhs(a, lambda q: q / euler_phi(q), _moduli(Q))
     rhs = (math.sqrt(a.N) + Q) ** 2 * a.norm_sq
     return make_report("bd", _params(a, Q=Q), lhs, rhs)
 
@@ -249,10 +269,7 @@ def lsi_thm12(a: CoefficientSequence, moduli, excluded_primes) -> InequalityRepo
     lhs = 0.0
     for q in moduli:
         chars, taus = expsums.gauss_sums_all(q)
-        if q == 1:
-            sums = np.array([a.total()])
-        else:
-            sums = group(q).value_matrix(chars) @ residue_sums(a, q)
+        sums = _char_sums(a, group(q), chars)
         lhs += float(np.sum(np.abs(taus) ** 2 * np.abs(sums) ** 2)) / euler_phi(q)
     Q = max(moduli, default=0)
     rhs = (math.sqrt(a.N) + Q) ** 2 * a.norm_sq
@@ -262,13 +279,10 @@ def lsi_thm12(a: CoefficientSequence, moduli, excluded_primes) -> InequalityRepo
 
 def lsi_eq14(a: CoefficientSequence, Q: int) -> InequalityReport:
     """Induced-character double sum with weights q mu^2(r) / phi(qr)."""
-    if Q < 1:
-        raise DomainError("Q must be >= 1")
     SupportRestriction.rough(Q).validate(a, "eq14")
-    lhs = 0.0
-    for q in range(1, Q + 1):
-        w = q / euler_phi(q) * _squarefree_phi_sum(Q // q, q)
-        lhs += w * sum_sq_primitive(a, q)
+    lhs = sieve_lhs(
+        a, lambda q: q / euler_phi(q) * _squarefree_phi_sum(range(1, Q // q + 1), q),
+        _moduli(Q))
     rhs = (math.sqrt(a.N) + Q) ** 2 * a.norm_sq
     return make_report("eq14", _params(a, Q=Q), lhs, rhs)
 
@@ -278,29 +292,25 @@ def check_eq15(q: int, X: float) -> InequalityReport:
 
     Reversed direction: pass means lhs >= rhs (1 - tol).
     """
-    if X < 1:
-        raise DomainError("X must be >= 1")
-    lhs = _squarefree_phi_sum(X, q)
+    if not 1 <= X < math.inf:
+        raise DomainError("X must be a finite number >= 1")
+    lhs = _squarefree_phi_sum(range(1, math.floor(X) + 1), q)
     rhs = euler_phi(q) / q * math.log(X)
     return make_report("eq15", {"q": q, "X": X}, lhs, rhs, direction="ge")
 
 
 def lsi_eq16(a: CoefficientSequence, Q: int) -> InequalityReport:
     """Log-weighted sieve: weights log(Q/q) over primitive characters."""
-    if Q < 1:
-        raise DomainError("Q must be >= 1")
     SupportRestriction.rough(Q).validate(a, "eq16")
-    lhs = sum(math.log(Q / q) * sum_sq_primitive(a, q) for q in range(1, Q + 1))
+    lhs = sieve_lhs(a, lambda q: math.log(Q / q), _moduli(Q))
     rhs = (math.sqrt(a.N) + Q) ** 2 * a.norm_sq
     return make_report("eq16", _params(a, Q=Q), lhs, rhs)
 
 
 def lsi_thm13(a: CoefficientSequence, Q: int) -> InequalityReport:
     """Ramanujan-sum twisted sieve with RHS weight N + Q^2."""
-    if Q < 1:
-        raise DomainError("Q must be >= 1")
     lhs = 0.0
-    for q in range(1, Q + 1):
+    for q in _moduli(Q):
         g = group(q)
         prim = [chi for chi in g.characters() if is_primitive(chi)]
         if not prim:
@@ -328,32 +338,22 @@ def lsi_thm13(a: CoefficientSequence, Q: int) -> InequalityReport:
 
 def script_L_q(q: int, R_set) -> float:
     """(q/phi(q)) * sum over squarefree r in R_set coprime to q of 1/phi(r)."""
-    total = 0.0
-    for r in sorted(int(r) for r in R_set):
-        if q > 1 and math.gcd(r, q) != 1:
-            continue
-        if mobius(r) == 0:
-            continue
-        total += 1.0 / euler_phi(r)
-    return q / euler_phi(q) * total
+    return q / euler_phi(q) * _squarefree_phi_sum(sorted(int(r) for r in R_set), q)
 
 
 def script_L(Q: int, R_set) -> float:
     """Minimum of script_L_q over q <= Q."""
-    if Q < 1:
-        raise DomainError("Q must be >= 1")
-    return min(script_L_q(q, R_set) for q in range(1, Q + 1))
+    return min(script_L_q(q, R_set) for q in _moduli(Q))
 
 
 def lsi_prop21(a: CoefficientSequence, Q: int, R_set, R: int) -> InequalityReport:
     """Unit-weight sieve for support coprime to every element of R_set."""
-    if Q < 1:
-        raise DomainError("Q must be >= 1")
+    qs = _moduli(Q)
     R_set = sorted(int(r) for r in R_set)
     if any(r > R for r in R_set):
         raise DomainError(f"R_set contains an element above R = {R}")
     SupportRestriction.coprime_to(R_set).validate(a, "prop21")
-    lhs = sum(sum_sq_primitive(a, q) for q in range(1, Q + 1))
+    lhs = sieve_lhs(a, lambda q: 1.0, qs)
     L = script_L(Q, R_set)
     rhs = math.inf if L == 0 else (Q * Q * R * R + a.N) / L * a.norm_sq
     return make_report("prop21", _params(a, Q=Q, R=R, R_set_size=len(R_set)),
@@ -384,8 +384,7 @@ def lsi_prop22(a: CoefficientSequence, Q: int, alpha: float = 1.0) -> Inequality
     alpha is the unspecified threshold constant: the guard requires
     N >= Q^2 exp((alpha log log Q)^3).
     """
-    if Q < 1:
-        raise DomainError("Q must be >= 1")
+    qs = _moduli(Q)
     N = a.N
     if Q == 1:
         threshold = 0.0
@@ -398,7 +397,7 @@ def lsi_prop22(a: CoefficientSequence, Q: int, alpha: float = 1.0) -> Inequality
     r_table = arith.r2_coprime_table(a.M + N)
     r_n = r_table[a.n_values].astype(np.float64)
     weighted = CoefficientSequence(a.M, r_n * a.values)
-    lhs = sum(sum_sq_primitive(weighted, q) for q in range(1, Q + 1))
+    lhs = sieve_lhs(weighted, lambda q: 1.0, qs)
     denom = math.sqrt(math.log(N / (Q * Q)))
     rhs = 2 * N / denom * float(np.sum(r_n**2 * np.abs(a.values) ** 2))
     R = math.sqrt(N) / Q
@@ -454,19 +453,24 @@ def thm21_conditions(a: CoefficientSequence, slack: float = 1.0) -> ConditionChe
     return ConditionCheck(ok, witness, norm_sq, worst_ratio, worst_p)
 
 
+def check_thm21_range(N: int, Q: int) -> None:
+    """Raise DomainError unless 8 Q^2 <= N."""
+    if 8 * Q * Q > N:
+        raise DomainError(f"thm21 requires 8 Q^2 <= N; got Q = {Q}, N = {N}")
+
+
 def lsi_thm21(a: CoefficientSequence, Q: int,
               condition_slack: float = 1.0) -> InequalityReport:
     """Sieve bound 24 N / log(N/Q^2) for almost-prime-supported coefficients."""
     N = a.N
-    if 8 * Q * Q > N:
-        raise DomainError(f"thm21 requires 8 Q^2 <= N; got Q = {Q}, N = {N}")
+    check_thm21_range(N, Q)
     check = thm21_conditions(a, slack=condition_slack)
     if not check.ok:
         raise DomainError(
             "thm21 coefficient conditions fail"
             + (f" at witness prime p = {check.witness}" if check.witness is not None
                else f": sum |a_n|^2 = {check.norm_sq:.6g} > {condition_slack}"))
-    lhs = sum(sum_sq_primitive(a, q) for q in range(1, Q + 1))
+    lhs = sieve_lhs(a, lambda q: 1.0, _moduli(Q))
     rhs = 24 * N / math.log(N / (Q * Q))
     empirical = lhs * math.log(N / (Q * Q)) / N
     return make_report("thm21", _params(a, Q=Q, condition_slack=condition_slack),
@@ -479,6 +483,14 @@ def lsi_thm21(a: CoefficientSequence, Q: int,
 
 # ---------------------------------------------------------------------
 # Brun-Titchmarsh
+
+
+def prime_indicator(M: int, N: int) -> CoefficientSequence:
+    """a_p = 1 at primes in (M, M+N], zero elsewhere."""
+    ps = arith.sieve_primes(max(M + N, 2)).primes
+    vals = np.zeros(N, dtype=np.complex128)
+    vals[ps[(ps > M) & (ps <= M + N)] - M - 1] = 1.0
+    return CoefficientSequence(M, vals)
 
 
 @dataclass
@@ -509,19 +521,13 @@ def brun_titchmarsh(M: int, N: int, verify_chain: bool = True) -> BrunTitchmarsh
         raise DomainError(f"requires M > sqrt(N); got M = {M}, sqrt(N) = {math.sqrt(N):.2f}")
     Q_real = math.sqrt(N) / math.log(N)
     Q = max(2, math.floor(Q_real))
-    table = arith.sieve_primes(M + N)
-    ps = table.primes
-    count = int(np.searchsorted(ps, M + N, side="right")
-                - np.searchsorted(ps, M, side="right"))
+    seq = prime_indicator(M, N)
+    count = int(np.count_nonzero(seq.values))
     bound = (math.sqrt(N) + Q) ** 2 / math.log(Q)
     asymptote = 2 * N / math.log(N)
     eq16_report = None
     passed = count <= bound
     if verify_chain:
-        vals = np.zeros(N, dtype=np.complex128)
-        in_range = ps[(ps > M) & (ps <= M + N)]
-        vals[in_range - M - 1] = 1.0
-        seq = CoefficientSequence(M, vals)
         eq16_report = lsi_eq16(seq, Q)
         # principal-term extraction must sit below the full left side
         principal = math.log(Q) * count * count

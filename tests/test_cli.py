@@ -1,7 +1,12 @@
+import contextlib
+import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from largesieve.cli import main
 
@@ -179,3 +184,94 @@ def test_json_encodes_non_finite_as_csv_text(capsys):
     assert rows == [{"lhs": "inf", "rhs": "-inf", "ratio": "nan", "pass": False}]
     emit([row], list(row), SimpleNamespace(out=None, format="csv"))
     assert capsys.readouterr().out.split("\n")[1] == "inf,-inf,nan,False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "bt", "--N", ","],
+    ["scan", "prop32", "--D", ","],
+    ["scan", "prop32", "--eps", ","],
+    ["scan", "exceptional", "--D", ","],
+    ["scan", "exceptional", "--D", "2"],  # no real primitive character mod 2
+    ["scan", "lemma21", "--q", ","],
+    ["scan", "lemma21", "--x", ","],
+    ["verify", "--ineq", "thm12", "--Q", "0"],
+    ["verify", "--ineq", "thm21", "--N", "2", "--Q", "1"],
+    ["verify", "--ineq", "thm21", "--N", "10000", "--Q", "0", "--slack", "2.0001"],
+    ["scan", "prop32", "--eps", "0"],
+    ["scan", "prop32", "--eps", "0.01"],  # D^(1/eps^3) overflows a float
+    ["scan", "exceptional", "--D", "0"],
+    ["scan", "exceptional", "--N", "1"],
+    ["scan", "bt", "--N", "1e4,x"],
+    ["verify", "--ineq", "eq15", "--X", "inf"],
+])
+def test_nothing_to_check_is_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+
+
+def test_prop32_default_truncation_covers_large_conductors(capsys):
+    code, out = run_cli(capsys, "scan", "prop32", "--D", "1009")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["D"] == "1009" and row["pass"] == "True"
+
+
+def _mostly(valid, invalid):
+    """valid, with about one draw in ten from invalid."""
+    return st.integers(0, 9).flatmap(lambda k: invalid if k == 4 else valid)
+
+
+def _ints(lo, hi):
+    """Integers in [lo, hi], or now and then a value below lo."""
+    return _mostly(st.integers(lo, hi), st.integers(lo - 3, lo - 1))
+
+
+_comma_list = _mostly(
+    st.lists(st.one_of(_ints(1, 40), st.sampled_from(["2.5", "1e3", "2.5e3"])),
+             min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs))),
+    st.just(","))
+
+
+def _option(name, values, optional=True):
+    """["--name=value"], or [] (the default) when optional.  Options whose
+    default would make a run slow are never left out."""
+    given_ = values.map(lambda v: [f"--{name}={v}"])
+    return st.one_of(st.just([]), given_) if optional else given_
+
+
+_VERIFY = st.tuples(
+    st.sampled_from(["mvs", "bd", "thm12", "eq14", "eq15", "eq16", "thm13",
+                     "prop21", "prop22", "thm21"]).map(lambda i: ["verify", f"--ineq={i}"]),
+    _option("N", _ints(1, 300), optional=False), _option("M", _ints(0, 40)),
+    _option("Q", _ints(1, 6), optional=False),
+    _option("trials", _ints(1, 2), optional=False),
+    _option("q", _ints(1, 12)), _option("X", _ints(1, 100)),
+    _option("P", _comma_list), _option("R", _ints(1, 4)),
+    _option("slack", st.sampled_from(["1", "2.0001"])),
+    st.sampled_from([[], ["--ones"], ["--sabotage"]]))
+_SCAN = st.tuples(
+    st.sampled_from(["bt", "lemma21", "exceptional", "prop32"]).map(lambda s: ["scan", s]),
+    _option("N", st.one_of(_comma_list, st.sampled_from(["100", "3000", "1e4"]))),
+    _option("M", _ints(0, 5000)), _option("q", _comma_list),
+    _option("x", _comma_list, optional=False),
+    _option("cutoff", st.sampled_from(["-1", "10", "1e3"]), optional=False),
+    _option("D", _comma_list), _option("eps", st.sampled_from(["0", "0.6", "0.9", "1", ","])),
+    _option("qmax", _ints(0, 6)), st.sampled_from([[], ["--f=bump"]]))
+_CONSTANTS = st.tuples(
+    st.just(["constants"]),
+    _option("cutoff", st.sampled_from(["0", "1e3", "5e3"]), optional=False),
+    _option("T", st.sampled_from(["0", "15", "1e4"]), optional=False),
+    _option("s", st.sampled_from(["0.5", "1", "2"])))
+
+
+@given(st.sampled_from([[], ["--format=json"]]),
+       st.one_of(_VERIFY, _SCAN, _CONSTANTS))
+@settings(max_examples=200, deadline=None)
+def test_random_argv_never_raises(fmt, parts):
+    argv = fmt + [arg for part in parts for arg in part]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv

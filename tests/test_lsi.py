@@ -145,6 +145,26 @@ def test_char_sum_against_scalar_oracle():
             assert abs(char_sum(chi, a) - oracle) < 1e-9
 
 
+def test_sieve_lhs_against_scalar_oracle():
+    a = random_sequence(90, M=7, seed=4, trial=0)
+    exclude = primitive_characters(8)[1]
+    qs = [9, 1, 8, 5, 6, 12]  # unsorted, with a q that has no primitive character
+    oracle = 0.0
+    for q in qs:
+        energy = sum(abs(sum(av * chi(int(n)) for n, av in zip(a.n_values, a.values))) ** 2
+                     for chi in character_group(q) if is_primitive(chi) and chi != exclude)
+        oracle += (q + 0.5) * energy
+    got = lsi.sieve_lhs(a, lambda q: q + 0.5, qs, exclude=exclude)
+    assert got == pytest.approx(oracle, rel=1e-12)
+    assert lsi.sieve_lhs(a, lambda q: 1.0, []) == 0.0
+
+
+def test_prime_indicator_short_ranges():
+    assert list(lsi.prime_indicator(0, 1).values) == [0]
+    assert list(lsi.prime_indicator(0, 3).values) == [0, 1, 1]
+    assert list(lsi.prime_indicator(7, 4).values) == [0, 0, 0, 1]  # (7, 11]
+
+
 # ---------------------------------------------------------------------
 # the main inequalities
 
