@@ -1,8 +1,9 @@
 """Pure-Python (numpy) fallback kernels.
 
-Same contracts as the compiled largesieve._kernels module.  nu_dfs mirrors
-the C accumulation order exactly, so both backends produce bitwise-equal
-floats.
+Same contracts as the compiled largesieve._kernels module.  nu_dfs keeps
+the C accumulation order without recursing: it writes every weight at its
+product's depth-first preorder position and adds them with a sequential
+np.cumsum, so both backends produce bitwise-equal floats.
 """
 
 import math
@@ -22,35 +23,129 @@ def sieve_mask(mask):
                 arr[p * p :: p] = 0
 
 
+# A batch enumerates whole subtrees, and the subtree of a product m holds at
+# most x / m products (m n <= x for distinct n).  Batches are cut so that
+# these bounds add up to at most _BATCH_NODES; at about _BYTES_PER_NODE of
+# scratch per product (value, weight, child count and offset, subtree size,
+# preorder position, one level's index temporaries, the accumulation buffer)
+# a batch stays under 32 MB however large x is.
+_BYTES_PER_NODE = 64
+_BATCH_NODES = (32 << 20) // _BYTES_PER_NODE
+
+
 def nu_dfs(primes, x, s):
     """Sums over squarefree products n <= x of the given primes (n=1 included).
 
     Returns (count, sum_tau, sum_inv, sum_tau_inv) with tau(n) = 2^omega(n)
     and the inverse sums weighted by n^-s.
+
+    The products are built one tree level at a time: the children of a
+    product m whose largest prime is p_i are m * p_j for i < j with
+    m * p_j <= x, each the same double the recursion forms.  Each weight is
+    written at its product's depth-first preorder position, found from
+    subtree sizes and sibling offsets, and the weights are added by a
+    sequential np.cumsum that starts from the running total.  The floats are
+    therefore added in the compiled kernel's order and come out bitwise
+    equal.  For s != 1, n^-s is Python's float power (libm pow, as in the
+    compiled kernel), not numpy's vectorised power, which may round
+    differently.  The tree is walked in batches of whole sibling subtrees
+    taken in preorder; a subtree too large for a batch has its root added
+    alone and its children batched in turn.
     """
-    ps = np.asarray(primes, dtype=np.int64).tolist()
-    n_ps = len(ps)
-    s_is_one = s == 1.0
-    count = 1
-    sum_tau = 1
-    sum_inv = 1.0
-    sum_tau_inv = 1.0
+    psf = np.asarray(primes, dtype=np.int64).astype(np.float64)
+    x = float(x)
+    s = float(s)
+    count, sum_tau, sum_inv, sum_tau_inv = 1, 1, 1.0, 1.0
+    if not psf.size:
+        return count, sum_tau, sum_inv, sum_tau_inv
 
-    def rec(start, n, tau):
+    def weight(m):
+        if s == 1.0:
+            return 1.0 / m
+        w = np.empty_like(m)
+        for i in range(0, m.size, 1 << 16):  # bounds the Python floats alive at once
+            w[i:i + (1 << 16)] = np.power(m[i:i + (1 << 16)].astype(object), -s)
+        return w
+
+    def limits(m):
+        """For each product in m, the number of primes p with m * p <= x."""
+        k = np.searchsorted(psf, x / m, side="right")
+        while True:  # x / m is rounded: settle k on the exact test m * p <= x
+            down = (k > 0) & (m * psf[np.maximum(k - 1, 0)] > x)
+            up = (k < psf.size) & (m * psf[np.minimum(k, psf.size - 1)] <= x)
+            if not (down.any() or up.any()):
+                return k
+            k = k - down + up
+
+    def add_batch(m, idx, tau):
+        """Add the subtrees rooted at the sibling products m, in preorder."""
         nonlocal count, sum_tau, sum_inv, sum_tau_inv
-        for j in range(start, n_ps):
-            m = n * float(ps[j])
-            if m > x:
-                break
-            t2 = tau * 2
-            w = 1.0 / m if s_is_one else m ** (-s)
-            count += 1
-            sum_tau += t2
-            sum_inv += w
-            sum_tau_inv += float(t2) * w
-            rec(j + 1, m, t2)
+        ws, counts, firsts = [], [], []
+        while m.size:
+            c = np.maximum(limits(m) - idx - 1, 0)
+            first = np.cumsum(c) - c  # offset of each product's first child
+            child_idx = np.arange(int(c.sum())) + np.repeat(idx + 1 - first, c)
+            ws.append(weight(m))
+            counts.append(c)
+            firsts.append(first)
+            m, idx = np.repeat(m, c) * psf[child_idx], child_idx
+        # subtree sizes bottom-up; prefix[k] runs over the sizes at depth k + 1
+        size = np.ones(ws[-1].size, dtype=np.int64)
+        prefix = [None] * (len(ws) - 1)
+        for k in reversed(range(len(ws) - 1)):
+            prefix[k] = np.concatenate(([0], np.cumsum(size)))
+            size = 1 + prefix[k][firsts[k] + counts[k]] - prefix[k][firsts[k]]
+        # preorder positions top-down: the parent, then earlier siblings' subtrees
+        pos = [np.cumsum(size) - size]
+        for k in range(len(ws) - 1):
+            pos.append(np.repeat(pos[k] + 1 - prefix[k][firsts[k]], counts[k])
+                       + prefix[k][:-1])
+        buf = np.empty(int(size.sum()) + 1)
+        buf[0] = sum_inv
+        for p, w in zip(pos, ws):
+            buf[1 + p] = w
+        sum_inv = float(np.cumsum(buf, out=buf)[-1])
+        buf[0] = sum_tau_inv
+        for k, (p, w) in enumerate(zip(pos, ws)):
+            buf[1 + p] = w * float(tau << k)
+        sum_tau_inv = float(np.cumsum(buf, out=buf)[-1])
+        count += buf.size - 1
+        sum_tau += sum(w.size * (tau << k) for k, w in enumerate(ws))
 
-    rec(0, 1.0, 1)
+    def batch_length(mp, a, b):
+        """How many of the siblings mp * p_j, j = a, ..., b - 1, fit a batch."""
+        n = 1024
+        while True:
+            hi = min(b, a + n)
+            t = int(np.searchsorted(np.cumsum(x / (mp * psf[a:hi])), _BATCH_NODES,
+                                    side="right"))
+            if t < hi - a or hi == b:
+                return t
+            n *= 2
+
+    # (mp, a, b, tau): the siblings mp * p_j for j in [a, b), of tau 2 tau(mp)
+    k = int(limits(np.ones(1))[0])
+    stack = [(1.0, 0, k, 2)] if k else []  # later siblings sit deeper
+    while stack:
+        mp, a, b, tau = stack.pop()
+        take = batch_length(mp, a, b)
+        if take:
+            if a + take < b:
+                stack.append((mp, a + take, b, tau))
+            add_batch(mp * psf[a:a + take], np.arange(a, a + take), tau)
+            continue
+        # the bound x / m of m = mp * p_a alone exceeds a batch: add m by itself
+        if a + 1 < b:
+            stack.append((mp, a + 1, b, tau))
+        m = mp * psf[a:a + 1]
+        w = float(weight(m)[0])
+        count += 1
+        sum_tau += tau
+        sum_inv += w
+        sum_tau_inv += float(tau) * w
+        k = int(limits(m)[0])
+        if k > a + 1:
+            stack.append((float(m[0]), a + 1, k, 2 * tau))
     return count, sum_tau, sum_inv, sum_tau_inv
 
 

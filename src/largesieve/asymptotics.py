@@ -32,15 +32,14 @@ class EulerProductValue:
     tail_bound: float
 
 
-def _primes_3mod4(x: float, exclude_divisors_of: int = 1) -> np.ndarray:
+def _primes_3mod4(x: float, excluded: tuple[int, ...] = ()) -> np.ndarray:
+    """Primes p = 3 (mod 4) up to x, without those in excluded."""
     if x > SIEVE_LIMIT_BUDGET:
         raise ResourceLimitError(f"enumeration bound {x} exceeds budget {SIEVE_LIMIT_BUDGET}")
     ps = prime_table(max(int(x), 2)).upto(x)
     ps = ps[ps % 4 == 3]
-    if exclude_divisors_of > 1:
-        keep = np.array([exclude_divisors_of % int(p) != 0 for p in ps], dtype=bool)
-        ps = ps[keep] if ps.size else ps
-    return ps
+    # an excluded prime above x cannot match, and need not fit in int64
+    return ps[~np.isin(ps, [p for p in excluded if p <= x])]
 
 
 def S_q(q, x: float) -> float:
@@ -48,7 +47,7 @@ def S_q(q, x: float) -> float:
     if x < 1:
         raise DomainError("x must be >= 1")
     f = factorize(q)
-    _, _, _, sum_tau_inv = _backend.nu_dfs(_primes_3mod4(x, f.n), math.floor(x), 1.0)
+    _, _, _, sum_tau_inv = _backend.nu_dfs(_primes_3mod4(x, f.prime_factors), math.floor(x), 1.0)
     return sum_tau_inv
 
 
@@ -57,7 +56,7 @@ def T_q(q, x: float) -> float:
     if x < 1:
         raise DomainError("x must be >= 1")
     f = factorize(q)
-    _, _, sum_inv, _ = _backend.nu_dfs(_primes_3mod4(x, f.n), math.floor(x), 1.0)
+    _, _, sum_inv, _ = _backend.nu_dfs(_primes_3mod4(x, f.prime_factors), math.floor(x), 1.0)
     return sum_inv
 
 

@@ -13,8 +13,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from largesieve import asymptotics, exceptional, lsi
 from largesieve.arith import factorize
 from largesieve.characters import chi4, real_primitive_characters
@@ -140,6 +138,8 @@ def validate_args(args) -> None:
         for name in ("q", "D"):
             if any(v < 1 for v in _int_list(getattr(args, name))):
                 raise DomainError(f"every {name} must be >= 1")
+        if args.name == "prop32" and args.qmax < 2:
+            raise DomainError("qmax must be >= 2: no modulus below 2 is scanned")
 
 
 # ---------------------------------------------------------------------
@@ -165,11 +165,8 @@ def cmd_verify(args) -> list[dict]:
     if ineq == "eq15":
         reports.append(lsi.check_eq15(args.q, args.X))
     elif ineq == "thm21":
-        N = args.N
-        lam = exceptional.coeffs_lambda_f(N, exceptional.indicator_function())
-        a = lsi.CoefficientSequence(
-            0, lam.values / np.sqrt(np.arange(1, N + 1)) / math.log(N))
-        reports.append(lsi.lsi_thm21(a, args.Q, condition_slack=args.slack))
+        reports.append(lsi.lsi_thm21(exceptional.thm21_coefficients(args.N), args.Q,
+                                     condition_slack=args.slack))
     elif ineq in ("mvs", "bd", "thm13"):
         fn = {"mvs": lsi.lsi_mvs, "bd": lsi.lsi_bd, "thm13": lsi.lsi_thm13}[ineq]
         for seq in _verify_sequences(args):

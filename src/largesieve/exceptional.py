@@ -135,6 +135,12 @@ def coeffs_lambda_f(N: int, f: TestFunction) -> CoefficientSequence:
     return CoefficientSequence(0, vals.astype(np.complex128))
 
 
+def thm21_coefficients(N: int) -> CoefficientSequence:
+    """Theorem 2.1's a_n = Lambda(n) f(n/N) / (sqrt(n) log N), f the indicator."""
+    lam = coeffs_lambda_f(N, indicator_function())
+    return CoefficientSequence(0, lam.values / np.sqrt(np.arange(1, N + 1)) / math.log(N))
+
+
 def one_plus_chi(n: int, chi_D: DirichletCharacter) -> float:
     """1 + chi_D(n); lies in {0, 1, 2} on units, equals 1 off them."""
     return 1.0 + chi_D(n).real
@@ -168,6 +174,9 @@ def L1_chiD(chi_D: DirichletCharacter, truncation: int | None = None) -> LTrunca
 
     Default truncation max(10^6, 10^3 D, D^2) keeps the relative tail below
     about 10^-3 for desk-scale conductors and meets the T >= D^2 guard.
+    The terms are summed in chunks of 2^20 consecutive n: each chunk by
+    np.sum (pairwise), and the chunk sums in increasing n into a float.
+    A chunk's chi_D(n) is a slice of the character table tiled once.
     """
     D = chi_D.modulus
     if truncation is None:
@@ -175,13 +184,14 @@ def L1_chiD(chi_D: DirichletCharacter, truncation: int | None = None) -> LTrunca
     T = int(truncation)
     if T < D * D:
         raise DomainError(f"truncation {T} below D^2 = {D * D}: tail bound too weak")
-    table = chi_D.values().real if D > 1 else np.ones(1)
-    total = 0.0
     chunk = 1 << 20
+    table = chi_D.values().real if D > 1 else np.ones(1)
+    tiled = np.resize(table, min(chunk, T) + D)  # tiled[i] = chi_D(i)
+    total = 0.0
     for lo in range(1, T + 1, chunk):
-        hi = min(lo + chunk - 1, T)
-        n = np.arange(lo, hi + 1)
-        total += float(np.sum(table[n % D] / n)) if D > 1 else float(np.sum(1.0 / n))
+        terms = np.arange(lo, min(lo + chunk, T + 1), dtype=np.float64)
+        np.divide(tiled[lo % D: lo % D + terms.size], terms, out=terms)
+        total += float(np.sum(terms))
     return LTruncation(value=total, truncation=T, tail_bound=D / T)
 
 

@@ -26,3 +26,47 @@ def vm_k_recurrence_tables(N, kmax):
             nxt[n] = tables[k][n] * math.log(n) + conv
         tables[k + 1] = nxt
     return tables
+
+
+def nu_dfs_recursive(primes, x, s):
+    """The recursive squarefree-product enumeration, kept as the reference.
+
+    Visits the products in depth-first preorder and adds each weight to a
+    running float, the accumulation order of the compiled kernel.
+    """
+    ps = np.asarray(primes, dtype=np.int64).tolist()
+    n_ps = len(ps)
+    s_is_one = s == 1.0
+    count = 1
+    sum_tau = 1
+    sum_inv = 1.0
+    sum_tau_inv = 1.0
+
+    def rec(start, n, tau):
+        nonlocal count, sum_tau, sum_inv, sum_tau_inv
+        for j in range(start, n_ps):
+            m = n * float(ps[j])
+            if m > x:
+                break
+            t2 = tau * 2
+            w = 1.0 / m if s_is_one else m ** (-s)
+            count += 1
+            sum_tau += t2
+            sum_inv += w
+            sum_tau_inv += float(t2) * w
+            rec(j + 1, m, t2)
+
+    rec(0, 1.0, 1)
+    return count, sum_tau, sum_inv, sum_tau_inv
+
+
+def L1_chiD_chunks(table, T):
+    """sum over n <= T of table[n % D] / n, one pairwise np.sum per 2^20 terms."""
+    D = len(table)
+    total = 0.0
+    chunk = 1 << 20
+    for lo in range(1, T + 1, chunk):
+        hi = min(lo + chunk - 1, T)
+        n = np.arange(lo, hi + 1)
+        total += float(np.sum(table[n % D] / n)) if D > 1 else float(np.sum(1.0 / n))
+    return total

@@ -275,3 +275,12 @@ def test_random_argv_never_raises(fmt, parts):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3), argv
+
+
+@pytest.mark.parametrize("qmax", ["1", "0", "-3"])
+def test_prop32_qmax_below_two_is_usage_error(capsys, qmax):
+    code = main(["scan", "prop32", "--qmax", qmax])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")

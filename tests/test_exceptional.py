@@ -214,3 +214,12 @@ def test_eq31_validation():
         ex.eq31_check(b, 6.0, c5)
     with pytest.raises(DomainError):
         ex.eq31_check(ex.prime_indicator(0, 30), 3.0, c5)  # D > Q
+
+
+def test_thm21_coefficients():
+    N = 1000
+    a = ex.thm21_coefficients(N)
+    n = np.arange(1, N + 1)
+    want = np.array([von_mangoldt(int(k)) for k in n]) / np.sqrt(n) / math.log(N)
+    assert (a.M, a.N) == (0, N)
+    assert np.allclose(a.values, want, rtol=1e-14, atol=0)
