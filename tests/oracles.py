@@ -32,7 +32,8 @@ def nu_dfs_recursive(primes, x, s):
     """The recursive squarefree-product enumeration, kept as the reference.
 
     Visits the products in depth-first preorder and adds each weight to a
-    running float, the accumulation order of the compiled kernel.
+    running float.  _backend.nu_dfs keeps this accumulation order, so
+    tests/test_series_kernels.py compares the two with ==.
     """
     ps = np.asarray(primes, dtype=np.int64).tolist()
     n_ps = len(ps)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from largesieve import arith
+from largesieve import _backend, arith
 from largesieve.arith import (FactoredInt, divisor_count, euler_phi, factorize,
                               mobius, nu, q3_radical, r2_coprime,
                               r2_coprime_table, rho_weight, sieve_primes,
@@ -32,6 +32,8 @@ def is_prime_td(n):
 def test_sieve_small():
     assert list(sieve_primes(10).primes) == [2, 3, 5, 7]
     assert list(sieve_primes(2).primes) == [2]
+    assert len(sieve_primes(97)) == 25 and sieve_primes(97).primes[-1] == 97
+    assert not _backend.prime_mask(1).any()
 
 
 def test_sieve_against_trial_division():

@@ -7,7 +7,7 @@ same additions in the same order), so every comparison is exact.
 import numpy as np
 import pytest
 
-from largesieve import _kernels_py, asymptotics
+from largesieve import _backend, asymptotics
 from largesieve import exceptional as ex
 from largesieve.arith import FactoredInt, factorize, sieve_primes
 from largesieve.characters import real_primitive_characters
@@ -21,7 +21,7 @@ def _primes(x, mod4=True, excluded=()):
 
 
 def _assert_same(ps, x, s):
-    got = _kernels_py.nu_dfs(ps, x, s)
+    got = _backend.nu_dfs(ps, x, s)
     want = nu_dfs_recursive(ps, x, s)
     assert got == want
     assert [type(v) for v in got] == [int, int, float, float]
@@ -36,7 +36,7 @@ def test_nu_dfs_matches_recursion(x, s):
 def test_nu_dfs_empty_prime_list():
     ps = np.zeros(0, dtype=np.int64)
     for x in (0.5, 100.0):
-        assert _kernels_py.nu_dfs(ps, x, 1.0) == (1, 1, 1.0, 1.0)
+        assert _backend.nu_dfs(ps, x, 1.0) == (1, 1, 1.0, 1.0)
         _assert_same(ps, x, 1.5)
 
 
@@ -59,7 +59,7 @@ def test_nu_dfs_with_the_primes_of_q_excluded(q):
 
 @pytest.mark.parametrize("batch", [1, 5, 64, 1000])
 def test_nu_dfs_across_batch_boundaries(monkeypatch, batch):
-    monkeypatch.setattr(_kernels_py, "_BATCH_NODES", batch)
+    monkeypatch.setattr(_backend, "_BATCH_NODES", batch)
     for x in (10**3, 10**4 + 0.5):
         for mod4 in (True, False):
             for s in (1.0, 1.5):
