@@ -72,6 +72,14 @@ def test_support_validation_reads_only_nonzero_entries():
         rough.validate(CoefficientSequence(5, vals), "test")
 
 
+def test_support_validation_catches_nan_at_a_forbidden_n():
+    vals = np.zeros(20, dtype=np.complex128)
+    vals[[0, 6]] = 1.0  # n = 1, 7
+    vals[1] = np.nan  # n = 2
+    with pytest.raises(SupportError, match=r"thm12: 1 coefficients .*\(first at n=2\)"):
+        SupportRestriction.prime_free([2]).validate(CoefficientSequence(0, vals), "thm12")
+
+
 def test_report_edge_rules():
     rep = make_report("x", {}, 0.0, 0.0)
     assert rep.passed and rep.ratio == 0.0
@@ -117,6 +125,150 @@ def test_residue_sums_random_complex():
         got = lsi.residue_sums(a, q)
         ref = residue_oracle(a, q)
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.fixture
+def sparse_residue_sums(monkeypatch):
+    """residue_sums through the sparse read, whatever the density of a."""
+    monkeypatch.setattr(lsi, "_SPARSE_BELOW", 2.0)
+
+    def read(a, q):
+        terms = lsi.sparse_terms(a)
+        assert terms is not None or a.N == 0
+        return lsi.residue_sums(a, q, terms)
+
+    return read
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 7])
+def test_sparse_read_matches_loop(q, sparse_residue_sums):
+    for M in range(q + 1):
+        for N in sorted({0, 1, q - 1, q, q + 1, 3 * q + 2}):
+            a = integer_coeffs(N, M)
+            b = sparse_residue_sums(a, q)
+            assert b.shape == (q,) and b.dtype == np.complex128
+            assert np.array_equal(b, residue_oracle(a, q)), (q, M, N)
+
+
+def test_sparse_read_random_complex(sparse_residue_sums):
+    a = random_sequence(5003, M=17, seed=4, trial=1)
+    a.values[::3] = 0.0
+    for q in (1, 3, 64, 97, 5003, 6000):
+        got = sparse_residue_sums(a, q)
+        ref = residue_oracle(a, q)
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_sparse_read_edge_cases(sparse_residue_sums):
+    zero = CoefficientSequence.zeros(50, M=3)
+    n, re, im = lsi.sparse_terms(zero)
+    assert n.size == re.size == 0 and im is None
+    assert np.array_equal(sparse_residue_sums(zero, 7), np.zeros(7, dtype=np.complex128))
+    short = integer_coeffs(4, 8)  # N < q
+    assert np.array_equal(sparse_residue_sums(short, 11), residue_oracle(short, 11))
+    real = CoefficientSequence(5, np.array([0, 3, 0, -2, 0, 0, 7, 1], dtype=float))
+    assert lsi.sparse_terms(real)[2] is None
+    assert np.array_equal(sparse_residue_sums(real, 3), residue_oracle(real, 3))
+    imag = CoefficientSequence(5, np.array([0, 3j, 0, -2j, 0, 0, 7j, 1j]))
+    assert np.array_equal(sparse_residue_sums(imag, 3), residue_oracle(imag, 3))
+    assert np.array_equal(sparse_residue_sums(imag, 3).real, np.zeros(3))
+
+
+def test_fold_from_a_multiple_equals_the_direct_fold():
+    a = integer_coeffs(1001, 13)
+    r = random_sequence(1001, M=13, seed=5, trial=0)
+    for m in (1, 12, 30, 97, 120):
+        bi, br = lsi.residue_sums(a, m), lsi.residue_sums(r, m)
+        for d in (d for d in range(1, m + 1) if m % d == 0):
+            assert np.array_equal(lsi.fold(bi, d), lsi.residue_sums(a, d)), (m, d)
+            ref = lsi.residue_sums(r, d)
+            assert np.allclose(lsi.fold(br, d), ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref))), (m, d)
+
+
+def test_residue_folds_yields_each_modulus_once():
+    a = integer_coeffs(500, 2)
+    qs = [9, 1, 20, 9, 14, 7, 11]
+    got = dict(lsi.residue_folds(a, qs))
+    assert sorted(got) == sorted(set(qs))
+    for q, b in got.items():
+        assert np.array_equal(b, residue_oracle(a, q)), q
+    assert list(lsi.residue_folds(a, [])) == []
+
+
+def sequence_at_density(N, density, seed):
+    """Random complex coefficients on (7, 7 + N], each nonzero with probability density."""
+    a = random_sequence(N, M=7, seed=seed, trial=0)
+    a.values[np.random.default_rng(seed).random(N) >= density] = 0.0
+    return a
+
+
+def reads(monkeypatch):
+    """Record, per call of lsi.residue_sums, whether it read a sparsely."""
+    seen = []
+    original = lsi.residue_sums
+
+    def spy(a, q, terms=None):
+        seen.append(terms is not None)
+        return original(a, q, terms)
+
+    monkeypatch.setattr(lsi, "residue_sums", spy)
+    return seen
+
+
+DENSITIES = (lsi._SPARSE_BELOW / 3, min(1.0, 3 * lsi._SPARSE_BELOW))
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+def test_sieve_lhs_matches_the_per_modulus_path(density, monkeypatch):
+    a = sequence_at_density(3000, density, seed=21)
+    qs = range(1, 41)
+    weight = lambda q: q / euler_phi(q)  # noqa: E731
+    old = 0.0
+    for q in qs:
+        old += weight(q) * float(np.sum(np.abs(lsi.primitive_char_sums(a, q)[1]) ** 2))
+    seen = reads(monkeypatch)
+    assert lsi.sieve_lhs(a, weight, qs) == pytest.approx(old, rel=1e-12)
+    assert seen and all(s == (density < lsi._SPARSE_BELOW) for s in seen)
+    assert len(seen) < 20  # only moduli in (20, 40] read a
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+def test_thm12_matches_the_per_modulus_path(density, monkeypatch):
+    from largesieve.expsums import gauss_sums_all
+    # a third of the n avoid 2 and 3, so draw at three times the density
+    a = sequence_at_density(2000, min(1.0, 3 * density), seed=22)
+    a.values[(a.n_values % 2 == 0) | (a.n_values % 3 == 0)] = 0.0
+    moduli = [1, 5, 7, 11, 25, 35]
+    old = 0.0
+    for q in moduli:
+        chars, taus = gauss_sums_all(q)
+        sums = np.array([char_sum(chi, a) for chi in chars])
+        old += float(np.sum(np.abs(taus) ** 2 * np.abs(sums) ** 2)) / euler_phi(q)
+    seen = reads(monkeypatch)
+    assert lsi_thm12(a, moduli, [2, 3]).lhs == pytest.approx(old, rel=1e-12)
+    assert seen and all(seen) == (density < lsi._SPARSE_BELOW)
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+def test_thm13_matches_the_per_modulus_path(density, monkeypatch):
+    from largesieve.characters import group
+    from largesieve.expsums import ramanujan_table
+    a = sequence_at_density(2000, density, seed=23)
+    Q = 14
+    old = 0.0
+    for q in range(1, Q + 1):
+        prim = primitive_characters(q)
+        for r in range(1, Q // q + 1):
+            if not prim or math.gcd(q, r) != 1:
+                continue
+            m = q * r
+            u = np.arange(m)
+            V = group(q).value_matrix(prim)[:, u % q] * ramanujan_table(r)[u % r]
+            old += q / euler_phi(m) * float(np.sum(np.abs(V @ residue_oracle(a, m)) ** 2))
+    seen = reads(monkeypatch)
+    assert lsi_thm13(a, Q).lhs == pytest.approx(old, rel=1e-12)
+    assert seen and all(seen) == (density < lsi._SPARSE_BELOW)
 
 
 # ---------------------------------------------------------------------
