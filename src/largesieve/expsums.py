@@ -7,7 +7,9 @@ import math
 import numpy as np
 
 from largesieve.arith import euler_phi, factorize, mobius
-from largesieve.characters import DirichletCharacter, group
+# group is unused here but stays importable from this module:
+# perfbench/test_perfbench.py checks that its tracer wraps it.
+from largesieve.characters import DirichletCharacter, group  # noqa: F401
 
 
 def e(x: float) -> complex:
@@ -19,8 +21,8 @@ def e(x: float) -> complex:
 def gauss_sum(chi: DirichletCharacter) -> complex:
     """tau(chi) = sum over u mod q of chi(u) e(u/q).
 
-    Computed by definition for every character (the weighted sieve needs
-    Gauss sums of imprimitive characters too).
+    Computed by definition for every character, imprimitive ones included:
+    it is the oracle for the closed form of |tau(chi)|^2 that lsi_thm12 uses.
     """
     q = chi.modulus
     if q == 1:
@@ -28,17 +30,6 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     values = chi.values()
     phases = np.exp(2j * np.pi * np.arange(q) / q)
     return complex(values @ phases)
-
-
-def gauss_sums_all(q: int) -> tuple[list[DirichletCharacter], np.ndarray]:
-    """tau(chi) for every character mod q in group order (vectorized)."""
-    g = group(q)
-    chars = g.characters()
-    if q == 1:
-        return chars, np.ones(1, dtype=complex)
-    V = g.value_matrix(chars)
-    phases = np.exp(2j * np.pi * np.arange(q) / q)
-    return chars, V @ phases
 
 
 def ramanujan_sum_exp(r: int, n: int) -> complex:

@@ -2,14 +2,14 @@
 
 Each evaluator computes the exact left and right sides of one inequality
 for a concrete coefficient sequence and returns an InequalityReport.  Every
-left side except thm12's and thm13's is one call of sieve_lhs: a weight
-w(q) times the primitive-character energy E(q) = sum of |S(chi)|^2 over
-the primitive chi mod q, summed over a q-range.  The residue vectors
-b mod q behind every left side come from residue_folds, which reads the
+left side is a weighted sum of primitive energies E(q; b), the sum of
+|S(chi)|^2 over the primitive chi mod q of a residue vector b, and each is
+one call of primitive_energy: sieve_lhs weights E(q; a mod q) over a
+q-range, thm12 sums E over the conductors of each modulus and thm13 over
+Ramanujan-twisted folds.  Every b comes from residue_folds, which reads the
 coefficients only for the moduli in (top/2, top] and folds the others from
-them.  Each E(q) is summed in character order and kept as a Python float;
-the weighted terms are added in the order of the q-range, so reported
-values are reproducible bit for bit.
+them.  Each E is summed in character order and kept as a Python float, and
+the terms are added in a fixed order, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -245,19 +245,9 @@ def residue_folds(a: CoefficientSequence, qs):
             yield q, fold(b, q)
 
 
-def _char_sums(g, chars, b: np.ndarray) -> np.ndarray:
-    """S(chi) = sum over u of b_u chi(u), for each chi in chars of group g.
-
-    b is the residue vector of the coefficients mod g.modulus.
-    """
-    if g.modulus == 1:
-        return np.full(len(chars), b[0])
-    return g.value_matrix(chars) @ b
-
-
 def char_sum(chi: DirichletCharacter, a: CoefficientSequence) -> complex:
     """sum over M < n <= M+N of a_n chi(n)."""
-    return complex(_char_sums(chi.group, [chi], residue_sums(a, chi.modulus))[0])
+    return complex((chi.group.value_matrix([chi]) @ residue_sums(a, chi.modulus))[0])
 
 
 def primitive_char_sums(a: CoefficientSequence, q: int, b: np.ndarray | None = None):
@@ -267,28 +257,37 @@ def primitive_char_sums(a: CoefficientSequence, q: int, b: np.ndarray | None = N
     """
     g = group(q)
     chars = [chi for chi in g.characters() if is_primitive(chi)]
-    if not chars:
-        return chars, np.zeros(0, dtype=np.complex128)
-    return chars, _char_sums(g, chars, residue_sums(a, q) if b is None else b)
+    return chars, g.value_matrix(chars) @ (residue_sums(a, q) if b is None else b)
+
+
+def primitive_energy(a: CoefficientSequence, q: int, b: np.ndarray,
+                     exclude: DirichletCharacter | None = None) -> float:
+    """E(q; b): the sum of |S(chi)|^2 over the primitive chi mod q, in group order.
+
+    S(chi) is the sum over u mod q of b_u chi(u); the character exclude, when
+    given, adds nothing.  No primitive character exists mod q = 2 (mod 4),
+    so there E(q; b) = 0.0.
+    """
+    chars, sums = primitive_char_sums(a, q, b)
+    sq = np.abs(sums) ** 2
+    if exclude is not None and exclude.modulus == q:
+        sq[[chi == exclude for chi in chars]] = 0.0
+    return float(np.sum(sq))
 
 
 def sieve_lhs(a: CoefficientSequence, weight, qs,
               exclude: DirichletCharacter | None = None) -> float:
     """sum over q in qs of weight(q) * E(q), added in the order of qs.
 
-    E(q) is the sum of |S(chi)|^2 over the primitive characters mod q,
-    leaving out the character exclude when one is given.  The E(q) come
-    from residue_folds, in its order, and are kept as floats until the
-    weighted sum.  No primitive character exists mod q = 2 (mod 4), so
-    those q need no fold and add weight(q) * 0.0.
+    E(q) is primitive_energy of b = a mod q, leaving out the character
+    exclude when one is given.  The E(q) come from residue_folds, in its
+    order, and are kept as floats until the weighted sum.  No primitive
+    character exists mod q = 2 (mod 4), so those q need no fold and add
+    weight(q) * 0.0.
     """
     energy = {}
     for q, b in residue_folds(a, [q for q in qs if q % 4 != 2]):
-        chars, sums = primitive_char_sums(a, q, b)
-        sq = np.abs(sums) ** 2
-        if exclude is not None and exclude.modulus == q:
-            sq[[chi == exclude for chi in chars]] = 0.0
-        energy[q] = float(np.sum(sq))
+        energy[q] = primitive_energy(a, q, b, exclude)
     lhs = 0.0
     for q in qs:
         lhs += weight(q) * energy.get(q, 0.0)
@@ -338,6 +337,10 @@ def lsi_thm12(a: CoefficientSequence, moduli, excluded_primes) -> InequalityRepo
 
     Both the moduli and the coefficient support must avoid every prime in
     excluded_primes; all characters mod q enter, weighted |tau(chi)|^2/phi(q).
+    A chi mod q induced from conductor f has |tau(chi)|^2 = f mu^2(q/f) when
+    (f, q/f) = 1 and 0 otherwise, and S(chi) is the sum of its primitive
+    character over b mod q with the residues not coprime to q zeroed, folded
+    to mod f.  So the term of q is the sum of f E(f) / phi(q) over those f.
     """
     moduli = sorted(int(q) for q in moduli)
     P = frozenset(int(p) for p in excluded_primes)
@@ -347,9 +350,13 @@ def lsi_thm12(a: CoefficientSequence, moduli, excluded_primes) -> InequalityRepo
     SupportRestriction.prime_free(P).validate(a, "thm12")
     energy = {}
     for q, b in residue_folds(a, moduli):
-        chars, taus = expsums.gauss_sums_all(q)
-        sums = _char_sums(group(q), chars, b)
-        energy[q] = float(np.sum(np.abs(taus) ** 2 * np.abs(sums) ** 2)) / euler_phi(q)
+        b = b * group(q).coprime_mask
+        total = 0.0
+        for d in arith.squarefree_divisors(q):
+            f = q // d
+            if math.gcd(f, d) == 1:
+                total += f * primitive_energy(a, f, fold(b, f))
+        energy[q] = total / euler_phi(q)
     lhs = 0.0
     for q in moduli:
         lhs += energy[q]
@@ -392,9 +399,9 @@ def lsi_eq16(a: CoefficientSequence, Q: int) -> InequalityReport:
 def lsi_thm13(a: CoefficientSequence, Q: int) -> InequalityReport:
     """Ramanujan-sum twisted sieve with RHS weight N + Q^2.
 
-    The term of each coprime pair (q, r), qr <= Q, comes from b mod qr; the
-    terms are computed in the order of residue_folds and added in ascending
-    (q, r).
+    The term of each coprime pair (q, r), qr <= Q, is q/phi(qr) E(q) of
+    b_u c_r(u) for b = a mod qr, folded to mod q.  The terms are computed in
+    the order of residue_folds and added in ascending (q, r).
     """
     pairs = {}
     for q in _moduli(Q):
@@ -403,19 +410,9 @@ def lsi_thm13(a: CoefficientSequence, Q: int) -> InequalityReport:
                 pairs.setdefault(q * r, []).append((q, r))
     terms = {}
     for m, b in residue_folds(a, pairs):
-        u = np.arange(m, dtype=np.int64)
         for q, r in pairs[m]:
-            g = group(q)
-            prim = [chi for chi in g.characters() if is_primitive(chi)]
-            if not prim:
-                continue
-            cr = expsums.ramanujan_table(r)[u % r]
-            if q == 1:
-                sums = np.array([np.sum(cr * b)])
-            else:
-                V = g.value_matrix(prim)[:, u % q] * cr
-                sums = V @ b
-            terms[q, r] = q / euler_phi(m) * float(np.sum(np.abs(sums) ** 2))
+            twisted = b * np.tile(expsums.ramanujan_table(r), q)
+            terms[q, r] = q / euler_phi(m) * primitive_energy(a, q, fold(twisted, q))
     lhs = 0.0
     for key in sorted(terms):
         lhs += terms[key]

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from largesieve.arith import euler_phi, mobius
-from largesieve.characters import character_group, chi4, is_primitive
-from largesieve.expsums import (e, gauss_sum, gauss_sums_all, ramanujan_sum_divisor,
-                                ramanujan_sum_exp, ramanujan_table)
+from largesieve.characters import (character_group, chi4, conductor, is_primitive,
+                                   principal_character)
+from largesieve.expsums import (e, gauss_sum, ramanujan_sum_divisor, ramanujan_sum_exp,
+                                ramanujan_table)
 
 
 def test_e_basic():
@@ -34,17 +35,28 @@ def test_gauss_sum_direct_summation_oracle():
 
 def test_gauss_modulus_law():
     for q in range(1, 101):
-        chars, taus = gauss_sums_all(q)
-        for chi, tau in zip(chars, taus):
+        for chi in character_group(q):
             if is_primitive(chi):
-                assert abs(abs(tau) ** 2 - q) <= 1e-6 * q
+                assert abs(abs(gauss_sum(chi)) ** 2 - q) <= 1e-6 * q
+
+
+def test_gauss_modulus_closed_form():
+    # chi mod q induced from conductor f: |tau(chi)|^2 = f mu^2(q/f) if (f, q/f) = 1,
+    # else 0 (Montgomery-Vaughan, ch. 9).  lsi_thm12 computes its weights this way.
+    checked = 0
+    for q in range(1, 301):
+        for chi in character_group(q):
+            f = conductor(chi)
+            closed = f * mobius(q // f) ** 2 if math.gcd(f, q // f) == 1 else 0
+            assert abs(abs(gauss_sum(chi)) ** 2 - closed) <= 1e-12 * q, (q, chi.exponents)
+            checked += 1
+    assert checked == sum(euler_phi(q) for q in range(1, 301))
 
 
 def test_gauss_sum_principal_equals_mobius():
     # tau(chi_0 mod q) = c_q(1) = mu(q)
     for q in range(1, 201):
-        chars, taus = gauss_sums_all(q)
-        assert abs(taus[0] - mobius(q)) < 1e-6
+        assert abs(gauss_sum(principal_character(q)) - mobius(q)) < 1e-6
 
 
 def test_ramanujan_examples():

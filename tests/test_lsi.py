@@ -233,20 +233,26 @@ def test_sieve_lhs_matches_the_per_modulus_path(density, monkeypatch):
     assert len(seen) < 20  # only moduli in (20, 40] read a
 
 
-@pytest.mark.parametrize("density", DENSITIES)
-def test_thm12_matches_the_per_modulus_path(density, monkeypatch):
-    from largesieve.expsums import gauss_sums_all
-    # a third of the n avoid 2 and 3, so draw at three times the density
-    a = sequence_at_density(2000, min(1.0, 3 * density), seed=22)
-    a.values[(a.n_values % 2 == 0) | (a.n_values % 3 == 0)] = 0.0
-    moduli = [1, 5, 7, 11, 25, 35]
+@pytest.mark.parametrize("density, P, moduli", [
+    *[pytest.param(d, (2, 3), [1, 5, 7, 11, 25, 35], id=str(d)) for d in DENSITIES],
+    # even moduli: 2-power conductors, q = 2 (mod 4), and q/f not squarefree
+    *[pytest.param(d, (3,), [1, 2, 4, 8, 10, 16, 20, 25, 40, 49], id=f"P=3-{d}")
+      for d in DENSITIES],
+])
+def test_thm12_matches_the_per_modulus_path(density, P, moduli, monkeypatch):
+    from largesieve.expsums import gauss_sum
+    # only the share prod (1 - 1/p) of the n avoids P, so draw at the inverse density
+    a = sequence_at_density(2000, min(1.0, density * math.prod(p / (p - 1) for p in P)),
+                            seed=22)
+    a.values[np.any([a.n_values % p == 0 for p in P], axis=0)] = 0.0
     old = 0.0
     for q in moduli:
-        chars, taus = gauss_sums_all(q)
+        chars = character_group(q)
+        taus = np.array([gauss_sum(chi) for chi in chars])
         sums = np.array([char_sum(chi, a) for chi in chars])
         old += float(np.sum(np.abs(taus) ** 2 * np.abs(sums) ** 2)) / euler_phi(q)
     seen = reads(monkeypatch)
-    assert lsi_thm12(a, moduli, [2, 3]).lhs == pytest.approx(old, rel=1e-12)
+    assert lsi_thm12(a, moduli, P).lhs == pytest.approx(old, rel=1e-12)
     assert seen and all(seen) == (density < lsi._SPARSE_BELOW)
 
 
@@ -287,6 +293,27 @@ def test_char_sum_is_linear():
     chi = character_group(7)[3]
     lhs = char_sum(chi, CoefficientSequence(0, a.values + 2j * b.values))
     assert abs(lhs - (char_sum(chi, a) + 2j * char_sum(chi, b))) < 1e-9
+
+
+def test_modulus_one_and_primitive_energy_edge_cases():
+    a = random_sequence(60, M=3, seed=5, trial=0)
+    b = lsi.residue_sums(a, 1)
+    assert lsi.primitive_char_sums(a, 1, b)[1].tolist() == [b[0]]
+    assert char_sum(character_group(1)[0], a) == b[0]
+    for q in (2, 6, 10, 30):
+        assert lsi.primitive_energy(a, q, lsi.residue_sums(a, q)) == 0.0
+    q = 15
+    b = lsi.residue_sums(a, q)
+    chars, sums = lsi.primitive_char_sums(a, q, b)
+    for k, chi in enumerate(chars):
+        sq = np.abs(sums) ** 2
+        sq[k] = 0.0
+        assert lsi.primitive_energy(a, q, b, exclude=chi) == float(np.sum(sq))
+    # an imprimitive character, or one of another modulus, has no term to drop
+    full = lsi.primitive_energy(a, q, b)
+    assert full == float(np.sum(np.abs(sums) ** 2))
+    for chi in (character_group(q)[0], chi4()):
+        assert lsi.primitive_energy(a, q, b, exclude=chi) == full
 
 
 def test_char_sum_against_scalar_oracle():
