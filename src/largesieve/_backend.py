@@ -39,7 +39,7 @@ def nu_dfs(primes: np.ndarray, x: float, s: float = 1.0):
 
     primes: ascending int64 array; entries above x are dropped, and products
     of distinct entries are enumerated, n = 1 included.  tau(n) = 2^omega(n)
-    and the inverse sums are weighted by n^-s.
+    and the inverse sums are weighted by n^-s, a numpy array power.
 
     The products are built one tree level at a time: the children of a
     product m whose largest prime is p_i are m * p_j for i < j with
@@ -48,11 +48,9 @@ def nu_dfs(primes: np.ndarray, x: float, s: float = 1.0):
     subtree sizes and sibling offsets, and the weights are added by a
     sequential np.cumsum that starts from the running total.  The floats are
     therefore added in the recursion's order and come out bitwise equal to
-    it (tests.oracles.nu_dfs_recursive).  For s != 1, n^-s is Python's float
-    power (libm pow, as in the recursion), not numpy's vectorised power,
-    which may round differently.  The tree is walked in batches of whole
-    sibling subtrees taken in preorder; a subtree too large for a batch has
-    its root added alone and its children batched in turn.
+    it (tests.oracles.nu_dfs_recursive).  The tree is walked in batches of
+    whole sibling subtrees taken in preorder; a subtree too large for a batch
+    has its root added alone and its children batched in turn.
     """
     ps = np.asarray(primes, dtype=np.int64)
     psf = ps[ps <= x].astype(np.float64)
@@ -61,14 +59,6 @@ def nu_dfs(primes: np.ndarray, x: float, s: float = 1.0):
     count, sum_tau, sum_inv, sum_tau_inv = 1, 1, 1.0, 1.0
     if not psf.size:
         return count, sum_tau, sum_inv, sum_tau_inv
-
-    def weight(m):
-        if s == 1.0:
-            return 1.0 / m
-        w = np.empty_like(m)
-        for i in range(0, m.size, 1 << 16):  # bounds the Python floats alive at once
-            w[i:i + (1 << 16)] = np.power(m[i:i + (1 << 16)].astype(object), -s)
-        return w
 
     def limits(m):
         """For each product in m, the number of primes p with m * p <= x."""
@@ -88,7 +78,7 @@ def nu_dfs(primes: np.ndarray, x: float, s: float = 1.0):
             c = np.maximum(limits(m) - idx - 1, 0)
             first = np.cumsum(c) - c  # offset of each product's first child
             child_idx = np.arange(int(c.sum())) + np.repeat(idx + 1 - first, c)
-            ws.append(weight(m))
+            ws.append(m ** -s)
             counts.append(c)
             firsts.append(first)
             m, idx = np.repeat(m, c) * psf[child_idx], child_idx
@@ -141,7 +131,7 @@ def nu_dfs(primes: np.ndarray, x: float, s: float = 1.0):
         if a + 1 < b:
             stack.append((mp, a + 1, b, tau))
         m = mp * psf[a:a + 1]
-        w = float(weight(m)[0])
+        w = float((m ** -s)[0])
         count += 1
         sum_tau += tau
         sum_inv += w

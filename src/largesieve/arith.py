@@ -107,8 +107,6 @@ def factorize(n: int | FactoredInt) -> FactoredInt:
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return FactoredInt(1, ())
     table = prime_table(math.isqrt(n) + 1)
     m = n
     factors = []

@@ -42,30 +42,26 @@ def _primes_3mod4(x: float, excluded: tuple[int, ...] = ()) -> np.ndarray:
     return ps[~np.isin(ps, [p for p in excluded if p <= x])]
 
 
-def S_q(q, x: float) -> float:
-    """sum of nu(n) tau(n) / n over n <= x with (n, q) = 1."""
+def _nu_sums(q, x: float):
+    """nu_dfs's (count, sum_tau, sum_inv, sum_tau_inv) over n <= x with (n, q) = 1."""
     if x < 1:
         raise DomainError("x must be >= 1")
-    f = factorize(q)
-    _, _, _, sum_tau_inv = _backend.nu_dfs(_primes_3mod4(x, f.prime_factors), math.floor(x), 1.0)
-    return sum_tau_inv
+    return _backend.nu_dfs(_primes_3mod4(x, factorize(q).prime_factors), math.floor(x), 1.0)
+
+
+def S_q(q, x: float) -> float:
+    """sum of nu(n) tau(n) / n over n <= x with (n, q) = 1."""
+    return _nu_sums(q, x)[3]
 
 
 def T_q(q, x: float) -> float:
     """sum of nu(n) / n over n <= x with (n, q) = 1."""
-    if x < 1:
-        raise DomainError("x must be >= 1")
-    f = factorize(q)
-    _, _, sum_inv, _ = _backend.nu_dfs(_primes_3mod4(x, f.prime_factors), math.floor(x), 1.0)
-    return sum_inv
+    return _nu_sums(q, x)[2]
 
 
 def count_nu_tau(x: float) -> int:
     """Exact sum of nu(n) tau(n) over n <= x."""
-    if x < 1:
-        raise DomainError("x must be >= 1")
-    _, sum_tau, _, _ = _backend.nu_dfs(_primes_3mod4(x), math.floor(x), 1.0)
-    return int(sum_tau)
+    return int(_nu_sums(1, x)[1])
 
 
 def constant_c(cutoff: int) -> EulerProductValue:

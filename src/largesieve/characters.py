@@ -65,12 +65,12 @@ class CharacterGroup:
         self.modulus = modulus
         self.phi = euler_phi(modulus)
         self.components: tuple[_Component, ...] = tuple(self._build_components(modulus))
-        self.exponent = math.lcm(*(c.order for c in self.components)) if self.components else 1
+        self.exponent = math.lcm(*(c.order for c in self.components))
         self._fill_dlogs()
-        n = np.arange(max(modulus, 1), dtype=np.int64)
-        self.coprime_mask = np.gcd(n, modulus) == 1 if modulus > 1 else np.ones(1, dtype=bool)
+        n = np.arange(modulus, dtype=np.int64)
+        self.coprime_mask = np.gcd(n, modulus) == 1
         # rows: component dlogs on a full period (garbage at non-coprime n)
-        self.dlog_matrix = np.zeros((len(self.components), max(modulus, 1)), dtype=np.int64)
+        self.dlog_matrix = np.zeros((len(self.components), modulus), dtype=np.int64)
         for j, comp in enumerate(self.components):
             self.dlog_matrix[j] = comp.dlog[n % comp.prime_power]
         self.root_table = np.exp(2j * np.pi * np.arange(self.exponent) / self.exponent)
@@ -181,7 +181,7 @@ class DirichletCharacter:
     def order(self) -> int:
         orders = [c.order // math.gcd(c.order, a)
                   for a, c in zip(self.exponents, self.group.components)]
-        return math.lcm(*orders) if orders else 1
+        return math.lcm(*orders)
 
     @property
     def is_real(self) -> bool:
@@ -193,7 +193,7 @@ class DirichletCharacter:
     def phase(self, n: int) -> Fraction | None:
         """Exact phase in [0, 1) with chi(n) = e(phase); None when chi(n) = 0."""
         q = self.modulus
-        if q > 1 and math.gcd(n, q) != 1:
+        if math.gcd(n, q) != 1:
             return None
         total = 0
         L = self.group.exponent
@@ -293,7 +293,7 @@ def induce(chi: DirichletCharacter, modulus: int) -> DirichletCharacter:
         # CRT lift of this component's generator: c.generator at p^e, 1 elsewhere
         other = modulus // c.prime_power
         lifted = _crt(c.generator, c.prime_power, 1, other)
-        ph = chi.phase(lifted % q1) if q1 > 1 else Fraction(0)
+        ph = chi.phase(lifted % q1)
         if ph is None:
             raise DomainError("character is not primitive at its own conductor")
         a = ph * c.order
@@ -304,8 +304,6 @@ def induce(chi: DirichletCharacter, modulus: int) -> DirichletCharacter:
 
 
 def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
-    if m2 == 1:
-        return a1 % m1
     inv = pow(m1, -1, m2)
     return (a1 + m1 * ((a2 - a1) * inv % m2)) % (m1 * m2)
 

@@ -1,8 +1,8 @@
 """Command-line front end: verification suites, scans, constant computations.
 
 Reports stream as CSV (default) or JSON; identical configurations produce
-byte-identical output.  Exit codes: 0 all rows pass, 1 at least one
-inequality failure, 2 usage error, 3 resource guard.
+byte-identical output.  Exit codes: 0 all tested rows pass, 1 at least one
+inequality failure, 2 usage error or nothing tested, 3 resource guard.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from largesieve import asymptotics, exceptional, lsi
 from largesieve.arith import factorize
 from largesieve.characters import chi4, real_primitive_characters
 from largesieve.errors import DomainError, ResourceLimitError
-
-VERIFY_COLUMNS = ["inequality", "M", "N", "Q", "extra_params", "seed",
-                  "lhs", "rhs", "ratio", "pass"]
 
 INEQUALITIES = ["mvs", "bd", "thm12", "eq14", "eq15", "eq16", "thm13",
                 "prop21", "prop22", "thm21"]
@@ -150,7 +147,7 @@ def _verify_sequences(args, restriction=None):
     """Yield one coefficient sequence per trial (or the all-ones anchor)."""
     if args.ones:
         seq = lsi.CoefficientSequence.ones(args.N, args.M)
-        if restriction is not None and restriction.kind != "none":
+        if restriction is not None:
             seq.values[~restriction.allowed_mask(seq.n_values)] = 0.0
         yield seq
         return
@@ -178,8 +175,7 @@ def cmd_verify(args) -> list[dict]:
             reports.append(fn(seq, args.Q))
     elif ineq == "thm12":
         P = frozenset(_int_list(args.P))
-        moduli = [q for q in range(1, args.Q + 1)
-                  if all(q % p for p in P)]
+        moduli = [q for q in range(1, args.Q + 1) if all(q % p for p in P)]
         restriction = lsi.SupportRestriction.prime_free(P)
         for seq in _verify_sequences(args, restriction):
             reports.append(lsi.lsi_thm12(seq, moduli, P))
@@ -217,14 +213,11 @@ def cmd_constants(args) -> list[dict]:
     return rows
 
 
-CONSTANTS_COLUMNS = ["item", "value", "reference", "discrepancy", "tolerance", "pass"]
-
-
 # ---------------------------------------------------------------------
 # scans
 
 
-def scan_bt(args) -> tuple[list[dict], list[str]]:
+def scan_bt(args) -> list[dict]:
     rows = []
     for N in _int_list(args.N or "1e4"):
         M = args.M if args.M is not None else N
@@ -234,11 +227,10 @@ def scan_bt(args) -> tuple[list[dict], list[str]]:
                      "asymptote": bt.asymptote,
                      "ratio_to_asymptote": bt.ratio_to_asymptote,
                      "pass": bt.passed})
-    return rows, ["M", "N", "Q", "Q_real", "prime_count", "bound", "asymptote",
-                  "ratio_to_asymptote", "pass"]
+    return rows
 
 
-def scan_lemma21(args) -> tuple[list[dict], list[str]]:
+def scan_lemma21(args) -> list[dict]:
     qs = _int_list(args.q)
     xs = _float_list(args.x)
     points, fitted = asymptotics.lemma21_scan(qs, xs, cutoff=args.cutoff)
@@ -246,11 +238,10 @@ def scan_lemma21(args) -> tuple[list[dict], list[str]]:
     rows.append({"kind": "fitted_C", "q": "", "x": "", "S_q": "", "main_term": "",
                  "deviation": "", "structured_error": "", "ratio": fitted,
                  "pass": fitted <= 10.0})
-    return rows, ["kind", "q", "x", "S_q", "main_term", "deviation",
-                  "structured_error", "ratio", "pass"]
+    return rows
 
 
-def scan_exceptional(args) -> tuple[list[dict], list[str]]:
+def scan_exceptional(args) -> list[dict]:
     f = exceptional.smooth_bump_function() if args.f == "bump" \
         else exceptional.indicator_function()
     rows = []
@@ -267,11 +258,10 @@ def scan_exceptional(args) -> tuple[list[dict], list[str]]:
                                  "N": N, "Q": setup.Q_real, "f": f.kind, "lhs": rep.lhs,
                                  "fitted_constant": rep.extras[constant],
                                  "L1": rep.extras["L1"], "pass": rep.passed})
-    return rows, ["report", "D", "char_index", "N", "Q", "f", "lhs",
-                  "fitted_constant", "L1", "pass"]
+    return rows
 
 
-def scan_prop32(args) -> tuple[list[dict], list[str]]:
+def scan_prop32(args) -> list[dict]:
     rows = []
     for D in _int_list(args.D):
         for eps in _float_list(args.eps):
@@ -287,10 +277,11 @@ def scan_prop32(args) -> tuple[list[dict], list[str]]:
                          "hypothesis_status": ("satisfied" if rep.hypothesis_satisfied
                                                else "not satisfied"),
                          "max_abs_sum": rep.max_abs_sum, "bound": rep.bound,
-                         "pass": rep.conclusion_holds})
-    return rows, ["D", "eps", "N", "effective_q_max", "window_lo", "window_hi",
-                  "L1_logD", "threshold", "hypothesis_status", "max_abs_sum",
-                  "bound", "pass"]
+                         "conclusion_tested": rep.conclusion_tested,
+                         "pass": rep.conclusion_holds if rep.conclusion_tested else ""})
+    if not any(row["conclusion_tested"] for row in rows):
+        raise DomainError("no row meets the hypothesis with a modulus q >= 2 to scan")
+    return rows
 
 
 # ---------------------------------------------------------------------
@@ -350,15 +341,13 @@ def main(argv=None) -> int:
         validate_args(args)
         if args.command == "verify":
             rows = cmd_verify(args)
-            columns = VERIFY_COLUMNS
         elif args.command == "constants":
             rows = cmd_constants(args)
-            columns = CONSTANTS_COLUMNS
         else:
             handler = {"bt": scan_bt, "lemma21": scan_lemma21,
                        "exceptional": scan_exceptional,
                        "prop32": scan_prop32}[args.name]
-            rows, columns = handler(args)
+            rows = handler(args)
         if not rows:
             raise DomainError("the arguments select nothing to check")
     except ResourceLimitError as exc:
@@ -367,7 +356,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    emit(rows, columns, args)
+    emit(rows, list(rows[0]), args)
     failed = sum(1 for row in rows if row.get("pass") is False)
     return 1 if failed else 0
 

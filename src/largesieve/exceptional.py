@@ -155,8 +155,7 @@ def lambda_conv(n, chi_D: DirichletCharacter) -> float:
 def lambda_partial_sum(N: int, chi_D: DirichletCharacter) -> float:
     """sum over n <= N of (1 * chi_D)(n), via the hyperbola-free O(N) form."""
     d = np.arange(1, N + 1)
-    chi_vals = chi_D.values().real[d % chi_D.modulus] if chi_D.modulus > 1 \
-        else np.ones(N)
+    chi_vals = chi_D.values().real[d % chi_D.modulus]
     return float(np.sum(chi_vals * (N // d)))
 
 
@@ -185,7 +184,7 @@ def L1_chiD(chi_D: DirichletCharacter, truncation: int | None = None) -> LTrunca
     if T < D * D:
         raise DomainError(f"truncation {T} below D^2 = {D * D}: tail bound too weak")
     chunk = 1 << 20
-    table = chi_D.values().real if D > 1 else np.ones(1)
+    table = chi_D.values().real
     tiled = np.resize(table, min(chunk, T) + D)  # tiled[i] = chi_D(i)
     total = 0.0
     for lo in range(1, T + 1, chunk):

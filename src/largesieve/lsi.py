@@ -79,26 +79,24 @@ def random_sequence(N: int, M: int = 0, seed: int = 0, trial: int = 0,
     rng = np.random.default_rng([seed, trial, N, M])
     vals = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / math.sqrt(2)
     seq = CoefficientSequence(M, vals, seed=seed, trial=trial)
-    if restriction is not None and restriction.kind != "none":
+    if restriction is not None:
         seq.values[~restriction.allowed_mask(seq.n_values)] = 0.0
     return seq
 
 
 @dataclass(frozen=True)
 class SupportRestriction:
-    """Which n may carry nonzero coefficients."""
+    """The primes that no n carrying a nonzero coefficient may be divisible by."""
 
-    kind: str  # "none" | "prime_free" | "coprime_to"
     primes: frozenset = frozenset()
-    moduli: frozenset = frozenset()
 
     @classmethod
     def none(cls) -> SupportRestriction:
-        return cls("none")
+        return cls()
 
     @classmethod
     def prime_free(cls, primes) -> SupportRestriction:
-        return cls("prime_free", primes=frozenset(int(p) for p in primes))
+        return cls(frozenset(int(p) for p in primes))
 
     @classmethod
     def rough(cls, Q: int) -> SupportRestriction:
@@ -107,21 +105,19 @@ class SupportRestriction:
 
     @classmethod
     def coprime_to(cls, moduli) -> SupportRestriction:
-        return cls("coprime_to", moduli=frozenset(int(r) for r in moduli))
+        """gcd(n, r) = 1 for every r in moduli: n avoids the primes dividing them."""
+        moduli = [int(r) for r in moduli]
+        if any(r < 1 for r in moduli):
+            raise DomainError("coprime_to needs moduli r >= 1")
+        return cls(frozenset(p for r in moduli for p in factorize(r).prime_factors))
 
     def allowed_mask(self, n: np.ndarray) -> np.ndarray:
         mask = np.ones(n.shape, dtype=bool)
-        if self.kind == "prime_free":
-            for p in sorted(self.primes):
-                mask &= n % p != 0
-        elif self.kind == "coprime_to":
-            for r in sorted(self.moduli):
-                mask &= np.gcd(n, r) == 1
+        for p in sorted(self.primes):
+            mask &= n % p != 0
         return mask
 
     def validate(self, a: CoefficientSequence, context: str) -> None:
-        if self.kind == "none":
-            return
         n = np.flatnonzero(a.values != 0) + (a.M + 1)
         bad = n[~self.allowed_mask(n)]
         if bad.size:
@@ -305,7 +301,7 @@ def _squarefree_phi_sum(rs, q: int) -> float:
     """sum over squarefree r in rs with (r, q) = 1 of 1/phi(r), in the order of rs."""
     total = 0.0
     for r in rs:
-        if q > 1 and math.gcd(r, q) != 1:
+        if math.gcd(r, q) != 1:
             continue
         f = factorize(r)
         if any(e >= 2 for _, e in f.factors):

@@ -33,11 +33,12 @@ def nu_dfs_recursive(primes, x, s):
 
     Visits the products in depth-first preorder and adds each weight to a
     running float.  _backend.nu_dfs keeps this accumulation order, so
-    tests/test_series_kernels.py compares the two with ==.
+    tests/test_series_kernels.py compares the two with ==.  Each weight m^-s
+    is a numpy power of a one-element array, as the kernel's are of whole
+    arrays; libm pow rounds differently on about 5% of m at s = 1.5.
     """
     ps = np.asarray(primes, dtype=np.int64).tolist()
     n_ps = len(ps)
-    s_is_one = s == 1.0
     count = 1
     sum_tau = 1
     sum_inv = 1.0
@@ -50,7 +51,7 @@ def nu_dfs_recursive(primes, x, s):
             if m > x:
                 break
             t2 = tau * 2
-            w = 1.0 / m if s_is_one else m ** (-s)
+            w = float((np.array([m]) ** -s)[0])
             count += 1
             sum_tau += t2
             sum_inv += w

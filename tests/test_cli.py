@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from largesieve import exceptional
+from largesieve.characters import primitive_characters
 from largesieve.cli import main
 
 
@@ -118,9 +120,36 @@ def test_scan_exceptional(capsys):
 
 
 def test_scan_prop32(capsys):
-    code, out = run_cli(capsys, "scan", "prop32", "--D", "5", "--eps", "0.9")
-    assert code == 0
-    assert "not satisfied" in out
+    """At desk scale the hypothesis fails, so nothing is tested: exit 2."""
+    code = main(["scan", "prop32", "--D", "5", "--eps", "0.9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("sum_over_bound", [None, 10.0])
+def test_scan_prop32_tested_row_sets_the_exit_code(capsys, monkeypatch, sum_over_bound):
+    """With L(1, chi_5) taken as 0 the hypothesis holds at N = 16 and q = 2 is
+    scanned; the second case adds a character sum of 10 times the bound."""
+    monkeypatch.setattr(exceptional, "L1_chiD",
+                        lambda chi: exceptional.LTruncation(0.0, 10**6, 1e-6))
+    if sum_over_bound is not None:
+        scan = exceptional.primitive_char_sums
+        chi = primitive_characters(3)[0]
+
+        def with_large_sum(a, q):
+            chars, sums = scan(a, q)
+            return chars + [chi], list(sums) + [sum_over_bound * 3 * 0.8 * a.N]
+
+        monkeypatch.setattr(exceptional, "primitive_char_sums", with_large_sum)
+    code, out = run_cli(capsys, "scan", "prop32", "--D", "5", "--eps", "0.8")
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["N"] == "16" and row["conclusion_tested"] == "True"
+    holds = float(row["max_abs_sum"]) <= float(row["bound"])
+    assert holds is (sum_over_bound is None)
+    assert row["pass"] == str(holds)
+    assert code == (0 if holds else 1)
 
 
 def test_resource_guard_exit_code(capsys):
@@ -213,10 +242,12 @@ def test_nothing_to_check_is_usage_error(capsys, argv):
 
 
 def test_prop32_default_truncation_covers_large_conductors(capsys):
-    code, out = run_cli(capsys, "scan", "prop32", "--D", "1009")
-    assert code == 0
-    (row,) = csv.DictReader(io.StringIO(out))
-    assert row["D"] == "1009" and row["pass"] == "True"
+    """L1_chiD's default truncation meets T >= D^2 for D = 1009 > 10^3."""
+    lo, hi = exceptional.prop32_window(1009, 0.9)
+    rep = exceptional.prop32_check(1009, 0.9, int(math.sqrt(lo * hi)), 10)
+    assert rep.D == 1009 and math.isfinite(rep.L1_logD)
+    assert not rep.conclusion_tested
+    assert main(["scan", "prop32", "--D", "1009"]) == 2
 
 
 def _mostly(valid, invalid):

@@ -50,6 +50,18 @@ def test_support_restriction_masks():
     cop = SupportRestriction.coprime_to([4, 9])
     assert list(n[cop.allowed_mask(n)]) == [k for k in range(1, 31)
                                             if math.gcd(k, 4) == 1 and math.gcd(k, 9) == 1]
+    n = np.arange(1, 10**4 + 1)
+    for R in ([1], [4, 9], [12], [30, 49], range(1, 8)):
+        by_gcd = np.ones(n.size, dtype=bool)
+        for r in R:
+            by_gcd &= np.gcd(n, r) == 1
+        assert np.array_equal(SupportRestriction.coprime_to(R).allowed_mask(n), by_gcd)
+    for R in range(1, 31):
+        assert SupportRestriction.coprime_to(range(1, R + 1)) == SupportRestriction.rough(R)
+    for bad in ([0], [-3]):
+        with pytest.raises(DomainError):
+            SupportRestriction.coprime_to(bad)
+    assert SupportRestriction.none().allowed_mask(n).all()
 
 
 def test_support_validation_raises():
