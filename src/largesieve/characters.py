@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -54,6 +54,22 @@ class _Component:
         self.generator = generator % self.prime_power
         self.order = order
         self.dlog = None  # filled by the group constructor
+
+    def conductors(self) -> np.ndarray:
+        """Conductor of n -> e(a dlog(n) / order) for a = 0..order-1.
+
+        The character of exponent a has order o = order / gcd(order, a).  On
+        an odd component its conductor is p times the p-part of o; on the
+        component of 5 mod 2^e it is 4 o, and on that of -1 it is 4.
+        """
+        a = np.arange(self.order, dtype=np.int64)
+        o = self.order // np.gcd(self.order, a)
+        if self.kind == "odd":
+            f = self.p * np.gcd(o, self.prime_power // self.p)
+        else:
+            f = (4 if self.kind == "two_five" else 2) * o
+        f[0] = 1
+        return f
 
 
 class CharacterGroup:
@@ -120,16 +136,46 @@ class CharacterGroup:
     # ---- character enumeration -------------------------------------
 
     def characters(self) -> list[DirichletCharacter]:
-        """All phi(q) characters; the principal character comes first."""
-        return [DirichletCharacter(self, exps)
-                for exps in product(*(range(c.order) for c in self.components))]
+        """All phi(q) characters; the principal character comes first.
+
+        They come in the order of product() over the component exponents,
+        each with its conductor stored: the lcm of the conductors of its
+        components, computed for the whole exponent grid at once in the same
+        (C) order.
+        """
+        conductors = reduce(np.lcm.outer, (c.conductors() for c in self.components),
+                            np.int64(1))
+        make = DirichletCharacter._reduced
+        return [make(self, exps, f) for exps, f in
+                zip(product(*(range(c.order) for c in self.components)),
+                    np.ravel(conductors).tolist())]
+
+    def product_characters(self, factors) -> list[DirichletCharacter]:
+        """chi_1 ... chi_k for every choice of chi_j from factors[j], in C order.
+
+        factors[j] holds characters mod the j-th prime power of q, in
+        factorize order.  Each component of this group is the one of the
+        group mod its prime power, so the exponent tuple of a product is
+        the factors' tuples concatenated, and its conductor is the product
+        of theirs.
+        """
+        conductors = reduce(np.multiply.outer,
+                            ([conductor(chi) for chi in f] for f in factors), np.int64(1))
+        make = DirichletCharacter._reduced
+        return [make(self, sum(combo, ()), f) for combo, f in
+                zip(product(*([chi.exponents for chi in f] for f in factors)),
+                    np.ravel(conductors).tolist())]
 
     def phase_rows(self, chars) -> np.ndarray:
         """Integer phases (mod group exponent) of each character on 0..q-1."""
         L = self.exponent
-        P = np.array([[a * (L // c.order) for a, c in zip(ch.exponents, self.components)]
-                      for ch in chars], dtype=np.int64).reshape(len(chars), len(self.components))
-        return (P @ self.dlog_matrix) % L
+        exps = np.array([ch.exponents for ch in chars], dtype=np.int64)
+        exps = exps.reshape(len(chars), len(self.components))
+        phases = np.zeros((len(chars), self.modulus), dtype=np.int64)
+        for j, c in enumerate(self.components):
+            phases += np.multiply.outer(exps[:, j] * (L // c.order), self.dlog_matrix[j])
+        phases %= L
+        return phases
 
     def value_matrix(self, chars) -> np.ndarray:
         """Complex value table, one row per character, columns n = 0..q-1."""
@@ -155,6 +201,16 @@ class DirichletCharacter:
         self.group = grp
         self.exponents = exponents
         self._conductor = None
+
+    @classmethod
+    def _reduced(cls, grp: CharacterGroup, exponents: tuple, conductor: int):
+        """The character of exponents already reduced mod the component orders.
+
+        Nothing is checked; conductor is stored for conductor() to return.
+        """
+        chi = cls.__new__(cls)
+        chi.group, chi.exponents, chi._conductor = grp, exponents, conductor
+        return chi
 
     @property
     def modulus(self) -> int:

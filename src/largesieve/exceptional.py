@@ -223,7 +223,11 @@ def _log_weighted_lhs(a: CoefficientSequence, Q: float,
     return sieve_lhs(a, lambda q: math.log(Q / q), range(2, math.floor(Q) + 1), exclude)
 
 
-def lemma31_report(setup: ExceptionalSetup, kappa_limit: float = 50.0,
+# The stated limit on the absolute constant that lemma31 and prop31 fit to a run.
+CONSTANT_LIMIT = 50.0
+
+
+def lemma31_report(setup: ExceptionalSetup, kappa_limit: float = CONSTANT_LIMIT,
                    L_truncation: int | None = None) -> InequalityReport:
     """Smoothed psi-sum sieve bound with the chi_D term extracted.
 
@@ -250,12 +254,13 @@ def lemma31_report(setup: ExceptionalSetup, kappa_limit: float = 50.0,
                                "fitted_kappa": kappa, "kappa_limit": kappa_limit})
 
 
-def prop31_report(setup: ExceptionalSetup,
+def prop31_report(setup: ExceptionalSetup, C0_limit: float = CONSTANT_LIMIT,
                   L_truncation: int | None = None) -> InequalityReport:
-    """Unsmoothed psi-sum bound; the absolute constant is fitted per run.
+    """Unsmoothed psi-sum bound with the chi_D term extracted.
 
-    C0 = lhs/N^2 - log D - L(1,chi_D) (log N)^2 is recorded so its
-    stability can be compared across N.
+    RHS = N^2 (log D + L(1, chi_D) (log N)^2 + C0_limit).  The fitted
+    C0 = lhs/N^2 - log D - L(1, chi_D) (log N)^2 is recorded so its
+    stability can be compared across N; the row passes while C0 <= C0_limit.
     """
     if setup.f.kind != "indicator":
         raise DomainError("prop31 uses the indicator weight")
@@ -267,9 +272,9 @@ def prop31_report(setup: ExceptionalSetup,
     L1 = L1_chiD(setup.chi_D, L_truncation)
     logN = math.log(N)
     C0 = lhs / (N * N) - math.log(D) - L1.value * logN * logN
-    rhs = N * N * (math.log(D) + L1.value * logN * logN + C0)
+    rhs = N * N * (math.log(D) + L1.value * logN * logN + C0_limit)
     return make_report("prop31", {"D": D, "N": N, "Q": Q}, lhs, rhs,
-                       extras={"C0": C0, "L1": L1.value,
+                       extras={"C0": C0, "C0_limit": C0_limit, "L1": L1.value,
                                "lhs_over_N2": lhs / (N * N)})
 
 

@@ -5,16 +5,19 @@ them, perfbench/run.py requires calls into them and reads largesieve.BACKEND
 for its provenance record.  A rename here would break the benchmark without
 failing any other test.
 
-The same holds for lsi.residue_sums and lsi.primitive_char_sums: the tracer
-wraps both and reads their first two arguments (a, q), and run.py's traced
-mode fails a workload (bd, mvs, Brun-Titchmarsh) that makes no call into
-either.
+The same holds for the residue and character layers.  The tracer wraps
+lsi.residue_sums and lsi.primitive_char_sums and reads their first two
+arguments (a, q); it wraps CharacterGroup.characters, CharacterGroup.value_matrix
+and every module binding of is_primitive.  run.py's traced mode fails a
+workload (bd, mvs, Brun-Titchmarsh) that makes no call into any one of these,
+so a refactor that stops calling one fails here first.
 """
 
 import pytest
 
 import largesieve
 from largesieve import _backend, lsi
+from largesieve.characters import CharacterGroup
 
 
 def test_names_the_benchmark_binds_exist():
@@ -30,15 +33,27 @@ def test_names_the_benchmark_binds_exist():
 ], ids=["lsi_bd", "lsi_mvs", "brun_titchmarsh"])
 def test_workloads_call_the_traced_residue_layers(run, monkeypatch):
     calls = {}
-    for name in ("residue_sums", "primitive_char_sums"):
-        original = getattr(lsi, name)
 
-        def counting(a, q, *rest, name=name, original=original):
-            assert isinstance(a, lsi.CoefficientSequence) and isinstance(q, int)
+    def counting(owner, name, check=None):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            if check is not None:
+                check(*args)
             calls[name] = calls.get(name, 0) + 1
-            return original(a, q, *rest)
+            return original(*args)
 
-        monkeypatch.setattr(lsi, name, counting)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def residue_args(a, q, *rest):
+        assert isinstance(a, lsi.CoefficientSequence) and isinstance(q, int)
+
+    counting(lsi, "residue_sums", residue_args)
+    counting(lsi, "primitive_char_sums", residue_args)
+    counting(lsi, "is_primitive")
+    counting(CharacterGroup, "characters")
+    counting(CharacterGroup, "value_matrix")
     run()
-    assert calls.get("residue_sums", 0) > 0
-    assert calls.get("primitive_char_sums", 0) > 0
+    for name in ("residue_sums", "primitive_char_sums", "is_primitive", "characters",
+                 "value_matrix"):
+        assert calls.get(name, 0) > 0, name

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from largesieve.arith import euler_phi, factorize, mobius
-from largesieve.characters import (character_group, chi4, conductor, group,
-                                   induce, is_primitive, primitive_characters,
+from largesieve.characters import (DirichletCharacter, character_group, chi4,
+                                   conductor, group, induce, is_primitive, primitive_characters,
                                    primitive_core, principal_character,
                                    real_primitive_characters, value)
 from largesieve.errors import DomainError
@@ -80,6 +80,13 @@ def test_conductor_examples():
                 assert conductor(chi) == p
 
 
+def test_stored_conductors_match_the_scalar_conductor():
+    for q in range(1, 301):
+        g = group(q)
+        for chi in g.characters():
+            assert chi._conductor == conductor(DirichletCharacter(g, chi.exponents)), chi
+
+
 def test_is_primitive():
     assert is_primitive(character_group(1)[0])
     for q in (2, 3, 8, 12):
@@ -129,6 +136,14 @@ def test_real_primitive_characters():
     assert c5(2) == c5(3) == -1
     assert real_primitive_characters(6) == []
     assert len(real_primitive_characters(8)) == 2
+
+
+def test_value_matrix_equals_the_pointwise_definition():
+    for q in range(1, 201):
+        g = group(q)
+        chars = g.characters()
+        pointwise = np.array([[chi(n) for n in range(q)] for chi in chars])
+        assert np.array_equal(g.value_matrix(chars), pointwise), q
 
 
 def test_orthogonality_rows():

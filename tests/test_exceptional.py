@@ -153,6 +153,27 @@ def test_lemma31_and_prop31():
         ex.prop31_report(bump_setup)  # indicator weight required
 
 
+def test_prop31_checks_the_fitted_constant_against_its_limit(monkeypatch):
+    setup = ex.make_setup(5, 10**4)
+    rep = ex.prop31_report(setup)
+    N, L1 = setup.N, rep.extras["L1"]
+    assert rep.extras["C0_limit"] == ex.CONSTANT_LIMIT
+    assert rep.rhs == pytest.approx(
+        N * N * (math.log(5) + L1 * math.log(N) ** 2 + ex.CONSTANT_LIMIT), rel=1e-15)
+    assert rep.passed and rep.extras["C0"] <= ex.CONSTANT_LIMIT
+    # lhs/N^2 is about 2e-4 here, so only a limit near the fitted C0 is tight
+    # enough for a left side ten times too large to fail; the default limit
+    # fails once lhs/N^2 exceeds log D + L1 (log N)^2 + 50
+    fitted = rep.extras["C0"]
+    assert ex.prop31_report(setup, C0_limit=fitted).passed
+    true_lhs = ex._log_weighted_lhs
+    monkeypatch.setattr(ex, "_log_weighted_lhs", lambda *args: 10 * true_lhs(*args))
+    assert not ex.prop31_report(setup, C0_limit=fitted).passed
+    scale = 2 * rep.rhs / rep.lhs
+    monkeypatch.setattr(ex, "_log_weighted_lhs", lambda *args: scale * true_lhs(*args))
+    assert not ex.prop31_report(setup).passed
+
+
 def test_prop31_excluding_chi_D_decreases_lhs():
     setup = ex.make_setup(5, 10**4)
     a = ex.coeffs_lambda_f(setup.N, setup.f)

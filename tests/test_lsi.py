@@ -5,7 +5,8 @@ import pytest
 
 from largesieve import lsi
 from largesieve.arith import euler_phi, factorize, prime_table
-from largesieve.characters import character_group, chi4, is_primitive, primitive_characters
+from largesieve.characters import (character_group, chi4, group, is_primitive,
+                                   primitive_characters)
 from largesieve.errors import DomainError, SupportError
 from largesieve.expsums import ramanujan_sum_divisor
 from largesieve.lsi import (CoefficientSequence, SupportRestriction, brun_titchmarsh,
@@ -326,6 +327,51 @@ def test_modulus_one_and_primitive_energy_edge_cases():
     assert full == float(np.sum(np.abs(sums) ** 2))
     for chi in (character_group(q)[0], chi4()):
         assert lsi.primitive_energy(a, q, b, exclude=chi) == full
+
+
+def direct_primitive_sums(q, b):
+    """The primitive characters mod q in group order, and value_matrix(prim) @ b."""
+    g = group(q)
+    prim = [chi for chi in g.characters() if is_primitive(chi)]
+    return prim, g.value_matrix(prim) @ b
+
+
+def assert_matches_the_direct_path(q, b):
+    chars, sums = lsi.primitive_char_sums(None, q, b)
+    prim, direct = direct_primitive_sums(q, b)
+    assert [chi.exponents for chi in chars] == [chi.exponents for chi in prim], q
+    assert all(chi.group is group(q) and chi._conductor == q for chi in chars), q
+    assert sums.shape == direct.shape, q
+    assert np.all(np.abs(sums - direct) <= 1e-12 * np.max(np.abs(direct), initial=0.0)), q
+    return chars
+
+
+def test_primitive_char_sums_match_the_direct_path():
+    rng = np.random.default_rng(31)
+    for q in range(1, 401):
+        assert_matches_the_direct_path(q, rng.standard_normal(q) + 1j * rng.standard_normal(q))
+
+
+@pytest.mark.parametrize("q, count", [
+    (1, 1),
+    (6, 0), (30, 0), (210, 0),  # q = 2 (mod 4): no primitive character
+    (24, 2), (120, 6), (840, 30),  # 8 | q: the components of -1 and 5 mod 8
+    (12, 1), (60, 3), (420, 15),  # 4 || q
+    (1155, 135),  # 3 * 5 * 7 * 11
+])
+def test_primitive_char_sums_crt_cases(q, count):
+    b = random_sequence(q, seed=q).values
+    assert len(assert_matches_the_direct_path(q, b)) == count
+
+
+def test_primitive_energy_on_primes_matches_the_direct_path():
+    # the primes in (M, M+N] are nearly equidistributed mod q, so each S(chi)
+    # is a small remainder of sums of size about N / (phi(q) log N)
+    a = lsi.prime_indicator(10**5, 4 * 10**4)
+    for q in range(1, 401):
+        b = lsi.residue_sums(a, q)
+        direct = float(np.sum(np.abs(direct_primitive_sums(q, b)[1]) ** 2))
+        assert lsi.primitive_energy(a, q, b) == pytest.approx(direct, rel=1e-12, abs=0.0), q
 
 
 def test_char_sum_against_scalar_oracle():
