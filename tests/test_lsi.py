@@ -271,7 +271,6 @@ def test_thm12_matches_the_per_modulus_path(density, P, moduli, monkeypatch):
 
 @pytest.mark.parametrize("density", DENSITIES)
 def test_thm13_matches_the_per_modulus_path(density, monkeypatch):
-    from largesieve.characters import group
     from largesieve.expsums import ramanujan_table
     a = sequence_at_density(2000, density, seed=23)
     Q = 14
