@@ -55,21 +55,20 @@ class _Component:
         self.order = order
         self.dlog = None  # filled by the group constructor
 
-    def conductors(self) -> np.ndarray:
-        """Conductor of n -> e(a dlog(n) / order) for a = 0..order-1.
+    def conductors(self, a):
+        """Conductor of n -> e(a dlog(n) / order), for an exponent or an array of them.
 
         The character of exponent a has order o = order / gcd(order, a).  On
         an odd component its conductor is p times the p-part of o; on the
-        component of 5 mod 2^e it is 4 o, and on that of -1 it is 4.
+        component of 5 mod 2^e it is 4 o, and on that of -1 it is 4.  The
+        conductor of a character is the lcm of those of its components.
         """
-        a = np.arange(self.order, dtype=np.int64)
         o = self.order // np.gcd(self.order, a)
         if self.kind == "odd":
             f = self.p * np.gcd(o, self.prime_power // self.p)
         else:
             f = (4 if self.kind == "two_five" else 2) * o
-        f[0] = 1
-        return f
+        return np.where(a == 0, 1, f)
 
 
 class CharacterGroup:
@@ -143,8 +142,8 @@ class CharacterGroup:
         components, computed for the whole exponent grid at once in the same
         (C) order.
         """
-        conductors = reduce(np.lcm.outer, (c.conductors() for c in self.components),
-                            np.int64(1))
+        conductors = reduce(np.lcm.outer, (c.conductors(np.arange(c.order, dtype=np.int64))
+                                           for c in self.components), np.int64(1))
         make = DirichletCharacter._reduced
         return [make(self, exps, f) for exps, f in
                 zip(product(*(range(c.order) for c in self.components)),
@@ -157,8 +156,11 @@ class CharacterGroup:
         factorize order.  Each component of this group is the one of the
         group mod its prime power, so the exponent tuple of a product is
         the factors' tuples concatenated, and its conductor is the product
-        of theirs.
+        of theirs.  A single factor is already a list of characters of this
+        group, and is returned as it is.
         """
+        if len(factors) == 1:
+            return factors[0]
         conductors = reduce(np.multiply.outer,
                             ([conductor(chi) for chi in f] for f in factors), np.int64(1))
         make = DirichletCharacter._reduced
@@ -288,38 +290,10 @@ def value(chi: DirichletCharacter, n: int) -> complex:
 
 def conductor(chi: DirichletCharacter) -> int:
     """Smallest f | q such that chi factors through a character mod f."""
-    if chi._conductor is not None:
-        return chi._conductor
-    cond = 1
-    two_five_exp = None
-    two_neg_exp = None
-    two_e = None
-    for a, c in zip(chi.exponents, chi.group.components):
-        if c.kind == "odd":
-            if a != 0:
-                o = c.order // math.gcd(c.order, a)
-                beta = 0
-                while o % c.p == 0:
-                    o //= c.p
-                    beta += 1
-                cond *= c.p ** (beta + 1)
-        elif c.kind == "four":
-            if a != 0:
-                cond *= 4
-        elif c.kind == "two_neg":
-            two_neg_exp = a
-            two_e = c.e
-        else:  # two_five
-            two_five_exp = a
-            two_e = c.e
-    if two_e is not None:
-        if two_five_exp:
-            o = 2 ** (two_e - 2) // math.gcd(2 ** (two_e - 2), two_five_exp)
-            cond *= 4 * o
-        elif two_neg_exp:
-            cond *= 4
-    chi._conductor = cond
-    return cond
+    if chi._conductor is None:
+        chi._conductor = math.lcm(*(int(c.conductors(a)) for a, c in
+                                    zip(chi.exponents, chi.group.components)))
+    return chi._conductor
 
 
 def is_primitive(chi: DirichletCharacter) -> bool:

@@ -254,13 +254,14 @@ def lemma31_report(setup: ExceptionalSetup, kappa_limit: float = CONSTANT_LIMIT,
                                "fitted_kappa": kappa, "kappa_limit": kappa_limit})
 
 
-def prop31_report(setup: ExceptionalSetup, C0_limit: float = CONSTANT_LIMIT,
+def prop31_report(setup: ExceptionalSetup,
                   L_truncation: int | None = None) -> InequalityReport:
     """Unsmoothed psi-sum bound with the chi_D term extracted.
 
-    RHS = N^2 (log D + L(1, chi_D) (log N)^2 + C0_limit).  The fitted
+    RHS = N^2 (log D + L(1, chi_D) (log N)^2 + CONSTANT_LIMIT).  The fitted
     C0 = lhs/N^2 - log D - L(1, chi_D) (log N)^2 is recorded so its
-    stability can be compared across N; the row passes while C0 <= C0_limit.
+    stability can be compared across N; the row passes while
+    C0 <= CONSTANT_LIMIT.
     """
     if setup.f.kind != "indicator":
         raise DomainError("prop31 uses the indicator weight")
@@ -272,9 +273,9 @@ def prop31_report(setup: ExceptionalSetup, C0_limit: float = CONSTANT_LIMIT,
     L1 = L1_chiD(setup.chi_D, L_truncation)
     logN = math.log(N)
     C0 = lhs / (N * N) - math.log(D) - L1.value * logN * logN
-    rhs = N * N * (math.log(D) + L1.value * logN * logN + C0_limit)
+    rhs = N * N * (math.log(D) + L1.value * logN * logN + CONSTANT_LIMIT)
     return make_report("prop31", {"D": D, "N": N, "Q": Q}, lhs, rhs,
-                       extras={"C0": C0, "C0_limit": C0_limit, "L1": L1.value,
+                       extras={"C0": C0, "C0_limit": CONSTANT_LIMIT, "L1": L1.value,
                                "lhs_over_N2": lhs / (N * N)})
 
 

@@ -249,21 +249,17 @@ def char_sum(chi: DirichletCharacter, a: CoefficientSequence) -> complex:
 def primitive_char_sums(a: CoefficientSequence, q: int, b: np.ndarray | None = None):
     """(primitive characters mod q, their coefficient sums) in group order.
 
-    b is the residue vector of a mod q when the caller already has it.  For
-    q = 1 or a prime power the sums are value_matrix @ b.  Otherwise let
+    b is the residue vector of a mod q when the caller already has it.  Let
     m_1, ..., m_k be the prime powers of q in factorize order.  A character
     mod q is a product of characters mod the m_j, and it is primitive
     exactly when every factor is.  So b is laid out as the CRT tensor
     B[n_1, ..., n_k] = b_n, n = n_j (mod m_j), and contracted one axis at a
     time, last axis first, with the primitive value matrix mod m_j; the
-    character axes come out in group order.
+    character axes come out in group order.  For a prime power (k = 1) this
+    is value_matrix @ b, and for q = 1 (k = 0) it is b[0].
     """
     b = residue_sums(a, q) if b is None else b
-    g = group(q)
     powers = [p**e for p, e in factorize(q).factors]
-    if len(powers) < 2:
-        chars = [chi for chi in g.characters() if is_primitive(chi)]
-        return chars, g.value_matrix(chars) @ b
     n = np.zeros((), dtype=np.int64)
     for m in powers:
         idempotent = q // m * pow(q // m, -1, m)  # 1 mod m, 0 mod q/m
@@ -277,7 +273,7 @@ def primitive_char_sums(a: CoefficientSequence, q: int, b: np.ndarray | None = N
         sums = np.matmul(local.value_matrix(factors[j]),
                          sums.reshape(math.prod(powers[:j]), powers[j], after))
         after *= len(factors[j])
-    return g.product_characters(factors), sums.reshape(-1)
+    return group(q).product_characters(factors), sums.reshape(-1)
 
 
 def primitive_energy(a: CoefficientSequence, q: int, b: np.ndarray,

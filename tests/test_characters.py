@@ -68,7 +68,8 @@ def brute_conductor(chi):
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 24, 36, 40, 45])
 def test_conductor_against_brute_force(q):
     for chi in character_group(q):
-        assert conductor(chi) == brute_conductor(chi)
+        f = brute_conductor(chi)
+        assert conductor(chi) == conductor(DirichletCharacter(chi.group, chi.exponents)) == f
 
 
 def test_conductor_examples():
@@ -139,7 +140,8 @@ def test_real_primitive_characters():
 
 
 def test_value_matrix_equals_the_pointwise_definition():
-    for q in range(1, 201):
+    # every component kind, and products of three and four prime powers
+    for q in [*range(1, 65), 120, 315, 840]:
         g = group(q)
         chars = g.characters()
         pointwise = np.array([[chi(n) for n in range(q)] for chi in chars])
