@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from largesieve.arith import euler_phi, factorize
+from largesieve.arith import factorize
 from largesieve.errors import DomainError
 
 
@@ -44,12 +44,11 @@ def _primitive_root_mod_odd_power(p: int, e: int) -> int:
 class _Component:
     """One cyclic factor of (Z/qZ)^x."""
 
-    __slots__ = ("kind", "p", "e", "prime_power", "generator", "order", "dlog")
+    __slots__ = ("kind", "p", "prime_power", "generator", "order", "dlog")
 
     def __init__(self, kind: str, p: int, e: int, generator: int, order: int):
         self.kind = kind  # "odd" | "four" | "two_neg" | "two_five"
         self.p = p
-        self.e = e
         self.prime_power = p**e
         self.generator = generator % self.prime_power
         self.order = order
@@ -78,7 +77,6 @@ class CharacterGroup:
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
         self.modulus = modulus
-        self.phi = euler_phi(modulus)
         self.components: tuple[_Component, ...] = tuple(self._build_components(modulus))
         self.exponent = math.lcm(*(c.order for c in self.components))
         self._fill_dlogs()
@@ -282,10 +280,6 @@ def character_group(q: int) -> list[DirichletCharacter]:
 def principal_character(q: int) -> DirichletCharacter:
     g = group(q)
     return DirichletCharacter(g, (0,) * len(g.components))
-
-
-def value(chi: DirichletCharacter, n: int) -> complex:
-    return chi(n)
 
 
 def conductor(chi: DirichletCharacter) -> int:

@@ -87,18 +87,22 @@ def table_function(us, values) -> TestFunction:
 # setup
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExceptionalSetup:
-    """A real primitive character of conductor D against length-N data."""
+    """A real primitive character of conductor D against length-N data.
+
+    lhs is the log-weighted sieve of Lambda(n) f(n/N) up to Q_real =
+    sqrt(N)/log N with the chi_D term left out, and L1 the truncated
+    L(1, chi_D); lemma31 and prop31 both read them.
+    """
 
     D: int
     chi_D: DirichletCharacter
     N: int
     f: TestFunction
-
-    @property
-    def Q_real(self) -> float:
-        return math.sqrt(self.N) / math.log(self.N)
+    Q_real: float
+    lhs: float
+    L1: LTruncation
 
     @property
     def Q(self) -> int:
@@ -107,19 +111,20 @@ class ExceptionalSetup:
 
 def make_setup(D: int, N: int, f: TestFunction | None = None,
                char_index: int = 0) -> ExceptionalSetup:
-    """Build a setup, validating 3 <= D <= sqrt(N)/log N."""
+    """Build a setup, validating 3 <= D <= sqrt(N)/log N, and evaluate it once."""
     if N < 3:
         raise DomainError("N must be >= 3")
     chars = real_primitive_characters(D)
     if not chars:
         raise DomainError(f"no real primitive character of conductor {D} exists")
     chi = chars[char_index]
-    setup = ExceptionalSetup(D=D, chi_D=chi, N=int(N),
-                             f=f if f is not None else indicator_function())
-    if not 3 <= D <= setup.Q_real:
-        raise DomainError(
-            f"requires 3 <= D <= sqrt(N)/log N = {setup.Q_real:.3f}; got D = {D}")
-    return setup
+    N = int(N)
+    f = f if f is not None else indicator_function()
+    Q = math.sqrt(N) / math.log(N)
+    if not 3 <= D <= Q:
+        raise DomainError(f"requires 3 <= D <= sqrt(N)/log N = {Q:.3f}; got D = {D}")
+    lhs = _log_weighted_lhs(coeffs_lambda_f(N, f), Q, chi)
+    return ExceptionalSetup(D, chi, N, f, Q, lhs, L1_chiD(chi))
 
 
 # ---------------------------------------------------------------------
@@ -217,45 +222,43 @@ def eq37_check(a: CoefficientSequence, chi_D: DirichletCharacter) -> InequalityR
                        extras={"coeff_sum": x, "rho_sum": rho_sum})
 
 
-def _log_weighted_lhs(a: CoefficientSequence, Q: float,
-                      exclude: DirichletCharacter | None) -> float:
-    """sum over 1 < q <= Q of log(Q/q) sum* over chi != exclude of |S_chi|^2."""
-    return sieve_lhs(a, lambda q: math.log(Q / q), range(2, math.floor(Q) + 1), exclude)
+def _log_weighted_lhs(a: CoefficientSequence, Q: float, chi_D: DirichletCharacter) -> float:
+    """sum over 1 < q <= Q of log(Q/q) sum* over chi != chi_D of |S_chi|^2.
+
+    The full sieve less the term log(Q/D) |S_chi_D|^2: every caller has
+    D <= Q, so chi_D, primitive mod D, has its term in the sieve.
+    """
+    full = sieve_lhs(a, lambda q: math.log(Q / q), range(2, math.floor(Q) + 1))
+    return full - math.log(Q / chi_D.modulus) * abs(char_sum(chi_D, a)) ** 2
 
 
 # The stated limit on the absolute constant that lemma31 and prop31 fit to a run.
 CONSTANT_LIMIT = 50.0
 
 
-def lemma31_report(setup: ExceptionalSetup, kappa_limit: float = CONSTANT_LIMIT,
-                   L_truncation: int | None = None) -> InequalityReport:
+def lemma31_report(setup: ExceptionalSetup) -> InequalityReport:
     """Smoothed psi-sum sieve bound with the chi_D term extracted.
 
     RHS = (A2 log N - A1^2 log(N/D)) N^2
         + 2 A1 log(Q/D) N^2 L(1, chi_D) log N + kappa N^2,
-    with kappa fitted to the run and passing while kappa <= kappa_limit.
+    with kappa fitted to the run and passing while kappa <= CONSTANT_LIMIT.
     """
-    N, D, Q = setup.N, setup.D, setup.Q_real
-    if not 3 <= D <= Q:
-        raise DomainError(f"requires 3 <= D <= Q = {Q:.3f}")
-    a = coeffs_lambda_f(N, setup.f)
-    lhs = _log_weighted_lhs(a, Q, setup.chi_D)
+    N, D, Q, lhs = setup.N, setup.D, setup.Q_real, setup.lhs
     A1, A2 = setup.f.A1, setup.f.A2
-    L1 = L1_chiD(setup.chi_D, L_truncation)
+    L1 = setup.L1.value
     logN = math.log(N)
     main1 = (A2 * logN - A1 * A1 * math.log(N / D)) * N * N
-    main2 = 2.0 * A1 * math.log(Q / D) * N * N * L1.value * logN
+    main2 = 2.0 * A1 * math.log(Q / D) * N * N * L1 * logN
     kappa = (lhs - main1 - main2) / (N * N)
-    rhs = main1 + main2 + kappa_limit * N * N
+    rhs = main1 + main2 + CONSTANT_LIMIT * N * N
     return make_report("lemma31", {"D": D, "N": N, "Q": Q, "f": setup.f.kind},
                        lhs, rhs,
-                       extras={"A1": A1, "A2": A2, "L1": L1.value,
+                       extras={"A1": A1, "A2": A2, "L1": L1,
                                "main_term_1": main1, "main_term_2": main2,
-                               "fitted_kappa": kappa, "kappa_limit": kappa_limit})
+                               "fitted_kappa": kappa, "kappa_limit": CONSTANT_LIMIT})
 
 
-def prop31_report(setup: ExceptionalSetup,
-                  L_truncation: int | None = None) -> InequalityReport:
+def prop31_report(setup: ExceptionalSetup) -> InequalityReport:
     """Unsmoothed psi-sum bound with the chi_D term extracted.
 
     RHS = N^2 (log D + L(1, chi_D) (log N)^2 + CONSTANT_LIMIT).  The fitted
@@ -265,17 +268,13 @@ def prop31_report(setup: ExceptionalSetup,
     """
     if setup.f.kind != "indicator":
         raise DomainError("prop31 uses the indicator weight")
-    N, D, Q = setup.N, setup.D, setup.Q_real
-    if not 3 <= D <= Q:
-        raise DomainError(f"requires 3 <= D <= Q = {Q:.3f}")
-    a = coeffs_lambda_f(N, setup.f)
-    lhs = _log_weighted_lhs(a, Q, setup.chi_D)
-    L1 = L1_chiD(setup.chi_D, L_truncation)
+    N, D, Q, lhs = setup.N, setup.D, setup.Q_real, setup.lhs
+    L1 = setup.L1.value
     logN = math.log(N)
-    C0 = lhs / (N * N) - math.log(D) - L1.value * logN * logN
-    rhs = N * N * (math.log(D) + L1.value * logN * logN + CONSTANT_LIMIT)
+    C0 = lhs / (N * N) - math.log(D) - L1 * logN * logN
+    rhs = N * N * (math.log(D) + L1 * logN * logN + CONSTANT_LIMIT)
     return make_report("prop31", {"D": D, "N": N, "Q": Q}, lhs, rhs,
-                       extras={"C0": C0, "C0_limit": CONSTANT_LIMIT, "L1": L1.value,
+                       extras={"C0": C0, "C0_limit": CONSTANT_LIMIT, "L1": L1,
                                "lhs_over_N2": lhs / (N * N)})
 
 
@@ -309,8 +308,7 @@ def prop32_window(D: int, eps: float) -> tuple[float, float]:
         raise DomainError(f"the window D^(1/eps^3) overflows for D = {D}, eps = {eps}") from None
 
 
-def prop32_check(D: int, eps: float, N: int, q_max: int,
-                 char_index: int = 0) -> Prop32Report:
+def prop32_check(D: int, eps: float, N: int, q_max: int) -> Prop32Report:
     """Evaluate the hypothesis L(1,chi_D) log D <= eps^5, then scan.
 
     Scans every primitive chi mod q, 2 <= q <= q_max with N >= q^4,
@@ -325,7 +323,7 @@ def prop32_check(D: int, eps: float, N: int, q_max: int,
     chars = real_primitive_characters(D)
     if not chars:
         raise DomainError(f"no real primitive character of conductor {D}")
-    chi_D = chars[char_index]
+    chi_D = chars[0]
     L1 = L1_chiD(chi_D)
     hyp_value = L1.value * math.log(D)
     hypothesis = hyp_value <= eps**5

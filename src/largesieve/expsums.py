@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from largesieve.arith import euler_phi, factorize, mobius
+from largesieve.arith import factorize, mobius
 # group is unused here but stays importable from this module:
 # perfbench/test_perfbench.py checks that its tracer wraps it.
 from largesieve.characters import DirichletCharacter, group  # noqa: F401
@@ -51,13 +51,6 @@ def ramanujan_sum_divisor(r, n: int) -> int:
 
 
 def ramanujan_table(r: int) -> np.ndarray:
-    """c_r(n) for n = 0..r-1 (int64; c_r depends on n only mod r)."""
-    f = factorize(r)
-    out = np.empty(r, dtype=np.int64)
-    by_gcd = {}
-    for n in range(r):
-        g = math.gcd(n, r)
-        if g not in by_gcd:
-            by_gcd[g] = sum(d * mobius(f.n // d) for d in f.divisors() if g % d == 0)
-        out[n] = by_gcd[g]
-    return out
+    """c_r(n) for n = 0..r-1 (int64; c_r(n) depends on n only through (n, r))."""
+    gcds, at = np.unique(np.gcd(np.arange(r), r), return_inverse=True)
+    return np.array([ramanujan_sum_divisor(r, int(g)) for g in gcds], dtype=np.int64)[at]

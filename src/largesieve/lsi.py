@@ -91,10 +91,6 @@ class SupportRestriction:
     primes: frozenset = frozenset()
 
     @classmethod
-    def none(cls) -> SupportRestriction:
-        return cls()
-
-    @classmethod
     def prime_free(cls, primes) -> SupportRestriction:
         return cls(frozenset(int(p) for p in primes))
 
@@ -276,34 +272,26 @@ def primitive_char_sums(a: CoefficientSequence, q: int, b: np.ndarray | None = N
     return group(q).product_characters(factors), sums.reshape(-1)
 
 
-def primitive_energy(a: CoefficientSequence, q: int, b: np.ndarray,
-                     exclude: DirichletCharacter | None = None) -> float:
+def primitive_energy(a: CoefficientSequence, q: int, b: np.ndarray) -> float:
     """E(q; b): the sum of |S(chi)|^2 over the primitive chi mod q, in group order.
 
-    S(chi) is the sum over u mod q of b_u chi(u); the character exclude, when
-    given, adds nothing.  No primitive character exists mod q = 2 (mod 4),
-    so there E(q; b) = 0.0.
+    S(chi) is the sum over u mod q of b_u chi(u).  No primitive character
+    exists mod q = 2 (mod 4), so there E(q; b) = 0.0.
     """
-    chars, sums = primitive_char_sums(a, q, b)
-    sq = np.abs(sums) ** 2
-    if exclude is not None and exclude.modulus == q:
-        sq[[chi == exclude for chi in chars]] = 0.0
-    return float(np.sum(sq))
+    return float(np.sum(np.abs(primitive_char_sums(a, q, b)[1]) ** 2))
 
 
-def sieve_lhs(a: CoefficientSequence, weight, qs,
-              exclude: DirichletCharacter | None = None) -> float:
+def sieve_lhs(a: CoefficientSequence, weight, qs) -> float:
     """sum over q in qs of weight(q) * E(q), added in the order of qs.
 
-    E(q) is primitive_energy of b = a mod q, leaving out the character
-    exclude when one is given.  The E(q) come from residue_folds, in its
-    order, and are kept as floats until the weighted sum.  No primitive
-    character exists mod q = 2 (mod 4), so those q need no fold and add
-    weight(q) * 0.0.
+    E(q) is primitive_energy of b = a mod q.  The E(q) come from
+    residue_folds, in its order, and are kept as floats until the weighted
+    sum.  No primitive character exists mod q = 2 (mod 4), so those q need
+    no fold and add weight(q) * 0.0.
     """
     energy = {}
     for q, b in residue_folds(a, [q for q in qs if q % 4 != 2]):
-        energy[q] = primitive_energy(a, q, b, exclude)
+        energy[q] = primitive_energy(a, q, b)
     lhs = 0.0
     for q in qs:
         lhs += weight(q) * energy.get(q, 0.0)
@@ -464,10 +452,9 @@ def lsi_prop21(a: CoefficientSequence, Q: int, R_set, R: int) -> InequalityRepor
                        lhs, rhs, extras={"script_L": L})
 
 
-def nu_supported_upto(R: float, exclude_divisors_of: int = 1) -> list[int]:
+def nu_supported_upto(R: float) -> list[int]:
     """Squarefree products of primes = 3 (mod 4) up to R (1 included)."""
-    ps = [int(p) for p in prime_table(max(int(R), 2)).upto(R)
-          if p % 4 == 3 and exclude_divisors_of % int(p) != 0]
+    ps = [int(p) for p in prime_table(max(int(R), 2)).upto(R) if p % 4 == 3]
     out = [1]
     stack = [(0, 1)]
     while stack:
@@ -608,10 +595,10 @@ class BrunTitchmarshReport:
     asymptote: float  # 2N / log N
     ratio_to_asymptote: float
     passed: bool
-    eq16_report: InequalityReport | None = None
+    eq16_report: InequalityReport
 
 
-def brun_titchmarsh(M: int, N: int, verify_chain: bool = True) -> BrunTitchmarshReport:
+def brun_titchmarsh(M: int, N: int) -> BrunTitchmarshReport:
     """Count primes in (M, M+N] and compare with the sieve-derived bound.
 
     The bound comes from keeping only the principal-character term of the
@@ -629,13 +616,11 @@ def brun_titchmarsh(M: int, N: int, verify_chain: bool = True) -> BrunTitchmarsh
     count = int(np.count_nonzero(seq.values))
     bound = (math.sqrt(N) + Q) ** 2 / math.log(Q)
     asymptote = 2 * N / math.log(N)
-    eq16_report = None
-    passed = count <= bound
-    if verify_chain:
-        eq16_report = lsi_eq16(seq, Q)
-        # principal-term extraction must sit below the full left side
-        principal = math.log(Q) * count * count
-        passed = passed and eq16_report.passed and principal <= eq16_report.lhs * (1 + REL_TOL)
+    eq16_report = lsi_eq16(seq, Q)
+    # principal-term extraction must sit below the full left side
+    principal = math.log(Q) * count * count
+    passed = (count <= bound and eq16_report.passed
+              and principal <= eq16_report.lhs * (1 + REL_TOL))
     return BrunTitchmarshReport(M, N, Q, Q_real, count, bound, asymptote,
                                 bound / asymptote, passed, eq16_report)
 

@@ -7,7 +7,7 @@ from largesieve.arith import euler_phi, factorize, mobius
 from largesieve.characters import (DirichletCharacter, character_group, chi4,
                                    conductor, group, induce, is_primitive, primitive_characters,
                                    primitive_core, principal_character,
-                                   real_primitive_characters, value)
+                                   real_primitive_characters)
 from largesieve.errors import DomainError
 
 

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from largesieve import cli
 from largesieve import exceptional as ex
 from largesieve.arith import factorize, mobius, von_mangoldt
-from largesieve.characters import chi4, real_primitive_characters
+from largesieve.characters import (character_group, chi4, is_primitive,
+                                   real_primitive_characters)
 from largesieve.errors import DomainError
-from largesieve.lsi import CoefficientSequence
+from largesieve.lsi import CoefficientSequence, primitive_char_sums, random_sequence
 
 
 def test_test_functions():
@@ -165,16 +167,67 @@ def test_prop31_checks_the_fitted_constant_against_its_limit(monkeypatch):
     true_lhs = ex._log_weighted_lhs
     scale = 2 * rep.rhs / rep.lhs
     monkeypatch.setattr(ex, "_log_weighted_lhs", lambda *args: scale * true_lhs(*args))
-    inflated = ex.prop31_report(setup)
+    inflated = ex.prop31_report(ex.make_setup(5, 10**4))
     assert inflated.rhs == rep.rhs and not inflated.passed
 
 
 def test_prop31_excluding_chi_D_decreases_lhs():
     setup = ex.make_setup(5, 10**4)
     a = ex.coeffs_lambda_f(setup.N, setup.f)
-    with_exclusion = ex._log_weighted_lhs(a, setup.Q_real, setup.chi_D)
-    without = ex._log_weighted_lhs(a, setup.Q_real, None)
-    assert with_exclusion <= without
+    Q = setup.Q_real
+    full = ex.sieve_lhs(a, lambda q: math.log(Q / q), range(2, setup.Q + 1))
+    assert setup.lhs == ex._log_weighted_lhs(a, Q, setup.chi_D) <= full
+
+
+@pytest.mark.parametrize("D", [3, 4, 5, 8])
+def test_log_weighted_lhs_against_scalar_oracle(D):
+    a = random_sequence(90, M=7, seed=4, trial=0)
+    Q = 9.5
+    for chi_D in real_primitive_characters(D):
+        oracle = 0.0
+        for q in range(2, 10):
+            energy = sum(abs(sum(av * chi(int(n)) for n, av in zip(a.n_values, a.values))) ** 2
+                         for chi in character_group(q) if is_primitive(chi) and chi != chi_D)
+            oracle += math.log(Q / q) * energy
+        assert ex._log_weighted_lhs(a, Q, chi_D) == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [10**4, 10**5])
+def test_log_weighted_lhs_leaves_out_the_chi_D_sum(N):
+    # for D = 3 and 4, chi_D is the one primitive character mod D, so the
+    # subtraction has to cancel the whole energy E(D) down to rounding
+    a = ex.coeffs_lambda_f(N, ex.indicator_function())
+    Q = 30.5
+    tables = {q: primitive_char_sums(a, q) for q in range(2, 31)}
+    for D in (3, 4, 5, 8, 12, 24):
+        for chi_D in real_primitive_characters(D):
+            expected = 0.0
+            for q, (chars, sums) in tables.items():
+                sq = np.abs(sums) ** 2
+                sq[[chi == chi_D for chi in chars]] = 0.0
+                expected += math.log(Q / q) * float(np.sum(sq))
+            got = ex._log_weighted_lhs(a, Q, chi_D)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0), (D, chi_D)
+
+
+def test_scan_exceptional_evaluates_each_setup_once(monkeypatch, capsys):
+    # --D 5,8 gives three setups (one character of conductor 5, two of 8),
+    # each reported by lemma31 and prop31
+    calls = {"sieve_lhs": 0, "L1_chiD": 0}
+
+    def counted(name):
+        fn = getattr(ex, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ex, name, counted(name))
+    assert cli.main(["scan", "exceptional", "--D", "5,8", "--N", "1e4"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+    assert calls == {"sieve_lhs": 3, "L1_chiD": 3}
 
 
 def test_prop32_guard_paths():
