@@ -1,10 +1,10 @@
 """Sums over squarefree products of primes = 3 (mod 4) and their asymptotics.
 
-S_q(x) sums nu(n) tau(n) / n over n <= x coprime to q, T_q(x) drops the
-divisor function, and both satisfy explicit main-term/error-term bounds
-with the Euler-product constant computed here.  The generating Dirichlet
-series factorizes through zeta(s)/L(s, chi_4); z_series_check verifies the
-factorization numerically three ways.
+S_q(x) sums nu(n) tau(n) / n over n <= x coprime to q and satisfies
+explicit main-term/error-term bounds with the Euler-product constant
+computed here.  The generating Dirichlet series factorizes through
+zeta(s)/L(s, chi_4); z_series_check verifies the factorization numerically
+three ways.
 """
 
 from __future__ import annotations
@@ -52,16 +52,6 @@ def _nu_sums(q, x: float):
 def S_q(q, x: float) -> float:
     """sum of nu(n) tau(n) / n over n <= x with (n, q) = 1."""
     return _nu_sums(q, x)[3]
-
-
-def T_q(q, x: float) -> float:
-    """sum of nu(n) / n over n <= x with (n, q) = 1."""
-    return _nu_sums(q, x)[2]
-
-
-def count_nu_tau(x: float) -> int:
-    """Exact sum of nu(n) tau(n) over n <= x."""
-    return int(_nu_sums(1, x)[1])
 
 
 def constant_c(cutoff: int) -> EulerProductValue:

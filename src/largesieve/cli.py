@@ -148,7 +148,7 @@ def _verify_sequences(args, restriction=None):
     if args.ones:
         seq = lsi.CoefficientSequence.ones(args.N, args.M)
         if restriction is not None:
-            seq.values[~restriction.allowed_mask(seq.n_values)] = 0.0
+            restriction.zero_forbidden(seq.values, seq.M)
         yield seq
         return
     for trial in range(args.trials):

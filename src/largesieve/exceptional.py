@@ -136,8 +136,7 @@ def coeffs_lambda_f(N: int, f: TestFunction) -> CoefficientSequence:
     if N < 3:
         raise DomainError("N must be >= 3")
     n = np.arange(1, N + 1)
-    vals = von_mangoldt_table(N)[1:] * f(n / N)
-    return CoefficientSequence(0, vals.astype(np.complex128))
+    return CoefficientSequence(0, von_mangoldt_table(N)[1:] * f(n / N))
 
 
 def thm21_coefficients(N: int) -> CoefficientSequence:
@@ -362,9 +361,9 @@ def eq31_check(a: CoefficientSequence, Q: float,
     D = chi_D.modulus
     if D > Q:
         raise DomainError(f"requires D <= Q; got D = {D}, Q = {Q}")
-    if not np.array_equal(a.values, prime_indicator(a.M, a.N).values):
+    ps, vals = a.nonzero
+    if not (np.array_equal(ps, prime_indicator(a.M, a.N).index) and np.all(vals == 1)):
         raise DomainError("coefficients must be the indicator of every prime in (M, M+N]")
-    ps = a.n_values[a.values.real > 0]
     P = float(ps.size)
     lhs = _log_weighted_lhs(a, Q, chi_D)
     lam_sum = float(np.sum(1.0 + chi_D.values().real[ps % D]))

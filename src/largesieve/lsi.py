@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,23 +34,56 @@ REL_TOL = 1e-9
 
 @dataclass
 class CoefficientSequence:
-    """Complex coefficients a_n supported on (M, M+N]."""
+    """Coefficients a_n supported on (M, M+N], real or complex.
+
+    Real input is stored as float64 and complex input as complex128, bit for
+    bit.  With index None the storage is dense: values[i] is a_{M+1+i} and N
+    is len(values).  Otherwise N must be given, index holds the n with a_n
+    != 0 in ascending order and values[j] is a_{index[j]}, never 0.  Either
+    way values holds every nonzero a_n, so its sums are the sums over the
+    sequence.  values must not change once nonzero is read.
+    """
 
     M: int
-    values: np.ndarray  # complex128, entry i is a_{M+1+i}
+    values: np.ndarray
     seed: int | None = None
     trial: int | None = None
+    N: int | None = None
+    index: np.ndarray | None = None
 
     def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
+        dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
+        self.values = np.ascontiguousarray(self.values, dtype=dtype)
+        if self.index is None:
+            if self.N not in (None, self.values.size):
+                raise ValueError(f"N = {self.N} but {self.values.size} dense values")
+            self.N = self.values.size
+            return
+        index = np.ascontiguousarray(self.index, dtype=np.int64)
+        if (self.N is None or self.N < 0 or index.shape != self.values.shape
+                or np.any(index[1:] <= index[:-1]) or np.any(self.values == 0)
+                or index.size and not self.M < index[0] <= index[-1] <= self.M + self.N):
+            raise ValueError("index storage needs N and one ascending n in (M, M+N] "
+                             "per nonzero value")
+        self.index = index
 
-    @property
-    def N(self) -> int:
-        return int(self.values.shape[0])
+    @cached_property
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, a_n) for every nonzero a_n, n ascending, found once per sequence."""
+        if self.index is not None:
+            return self.index, self.values
+        n = np.flatnonzero(self.values)
+        values = self.values[n]
+        n += self.M + 1
+        return n, values
 
-    @property
-    def n_values(self) -> np.ndarray:
-        return np.arange(self.M + 1, self.M + self.N + 1, dtype=np.int64)
+    def dense(self) -> np.ndarray:
+        """a_{M+1}, ..., a_{M+N} as one vector; for dense storage, values itself."""
+        if self.index is None:
+            return self.values
+        out = np.zeros(self.N, dtype=self.values.dtype)
+        out[self.index - (self.M + 1)] = self.values
+        return out
 
     @property
     def norm_sq(self) -> float:
@@ -62,11 +96,11 @@ class CoefficientSequence:
 
     @classmethod
     def ones(cls, N: int, M: int = 0) -> CoefficientSequence:
-        return cls(M, np.ones(N, dtype=np.complex128))
+        return cls(M, np.ones(N))
 
     @classmethod
     def zeros(cls, N: int, M: int = 0) -> CoefficientSequence:
-        return cls(M, np.zeros(N, dtype=np.complex128))
+        return cls(M, np.zeros(N))
 
 
 def random_sequence(N: int, M: int = 0, seed: int = 0, trial: int = 0,
@@ -74,14 +108,19 @@ def random_sequence(N: int, M: int = 0, seed: int = 0, trial: int = 0,
     """Seeded complex-Gaussian coefficients, zeroed off the allowed support.
 
     Each (seed, trial) pair keys an independent generator stream, so trials
-    share no state and every run is reproducible.
+    share no state and every run is reproducible.  The real parts are the
+    first N normal draws and the imaginary parts the next N, both scaled by
+    1/sqrt(2), written into one complex vector.
     """
     rng = np.random.default_rng([seed, trial, N, M])
-    vals = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / math.sqrt(2)
-    seq = CoefficientSequence(M, vals, seed=seed, trial=trial)
+    vals = np.empty(N, dtype=np.complex128)
+    draws = rng.standard_normal(N)
+    vals.real = draws
+    vals.imag = rng.standard_normal(out=draws)
+    vals *= 1 / math.sqrt(2)
     if restriction is not None:
-        seq.values[~restriction.allowed_mask(seq.n_values)] = 0.0
-    return seq
+        restriction.zero_forbidden(vals, M)
+    return CoefficientSequence(M, vals, seed=seed, trial=trial)
 
 
 @dataclass(frozen=True)
@@ -113,8 +152,13 @@ class SupportRestriction:
             mask &= n % p != 0
         return mask
 
+    def zero_forbidden(self, values: np.ndarray, M: int) -> None:
+        """Zero values[i], the coefficient of n = M+1+i, wherever a prime divides n."""
+        for p in self.primes:
+            values[-(M + 1) % p::p] = 0
+
     def validate(self, a: CoefficientSequence, context: str) -> None:
-        n = np.flatnonzero(a.values != 0) + (a.M + 1)
+        n = a.nonzero[0]
         bad = n[~self.allowed_mask(n)]
         if bad.size:
             raise SupportError(
@@ -169,16 +213,16 @@ _SPARSE_BELOW = 0.1
 def sparse_terms(a: CoefficientSequence):
     """The nonzero a_n as (n, Re a_n, Im a_n), the input of the sparse read.
 
-    None when at least _SPARSE_BELOW of the a_n are nonzero: a is then read
-    densely.  Im a_n is None when every a_n is real.
+    None when a is stored densely and at least _SPARSE_BELOW of its a_n are
+    nonzero: a is then read densely.  Im a_n is None when every a_n is real.
     """
-    nonzero = a.values != 0
-    if not np.count_nonzero(nonzero) < _SPARSE_BELOW * a.N:
+    if a.index is None and not np.count_nonzero(a.values) < _SPARSE_BELOW * a.N:
         return None
-    n = np.flatnonzero(nonzero)
-    re, im = a.values.real[n], a.values.imag[n]
-    n += a.M + 1
-    return n, re, im if im.any() else None
+    n, v = a.nonzero
+    if not np.iscomplexobj(v):
+        return n, v, None
+    im = np.ascontiguousarray(v.imag)
+    return n, np.ascontiguousarray(v.real), im if im.any() else None
 
 
 def residue_sums(a: CoefficientSequence, q: int, terms=None) -> np.ndarray:
@@ -188,8 +232,11 @@ def residue_sums(a: CoefficientSequence, q: int, terms=None) -> np.ndarray:
     head period lands in b[s:], where s is the residue of the first n; the
     full periods are summed as a (k, q) view of the vector; the tail lands
     in b[:t].  With terms from sparse_terms(a), it bincounts the nonzero a_n
-    by n mod q instead, real and imaginary parts apart, in ascending n.
+    by n mod q instead, real and imaginary parts apart, in ascending n; a
+    sequence stored by index is always read so.
     """
+    if terms is None and a.index is not None:
+        terms = sparse_terms(a)
     if terms is not None:
         n, re, im = terms
         u = n % q
@@ -485,12 +532,12 @@ def lsi_prop22(a: CoefficientSequence, Q: int, alpha: float = 1.0) -> Inequality
         raise DomainError(
             f"prop22 requires N >= Q^2 exp((alpha log log Q)^3) = {threshold:.6g} "
             f"and N > Q^2; got N = {N}")
-    r_table = arith.r2_coprime_table(a.M + N)
-    r_n = r_table[a.n_values].astype(np.float64)
-    weighted = CoefficientSequence(a.M, r_n * a.values)
+    r_n = arith.r2_coprime_table(a.M + N)[a.M + 1:].astype(np.float64)
+    values = a.dense()
+    weighted = CoefficientSequence(a.M, r_n * values)
     lhs = sieve_lhs(weighted, lambda q: 1.0, qs)
     denom = math.sqrt(math.log(N / (Q * Q)))
-    rhs = 2 * N / denom * float(np.sum(r_n**2 * np.abs(a.values) ** 2))
+    rhs = 2 * N / denom * float(np.sum(r_n**2 * np.abs(values) ** 2))
     R = math.sqrt(N) / Q
     R_set = nu_supported_upto(R)
     return make_report("prop22", _params(a, Q=Q, alpha=alpha), lhs, rhs,
@@ -521,7 +568,7 @@ def thm21_conditions(a: CoefficientSequence, slack: float = 1.0) -> ConditionChe
     """
     N = a.N
     logN = math.log(N) if N > 1 else 1.0
-    abs2 = np.abs(a.values) ** 2
+    abs2 = np.abs(a.dense()) ** 2
     norm_sq = float(abs2.sum())
     ok = norm_sq <= slack * (1 + REL_TOL)
     witness = None
@@ -577,11 +624,10 @@ def lsi_thm21(a: CoefficientSequence, Q: int,
 
 
 def prime_indicator(M: int, N: int) -> CoefficientSequence:
-    """a_p = 1 at primes in (M, M+N], zero elsewhere."""
+    """a_p = 1 at primes in (M, M+N], zero elsewhere, stored by index."""
     ps = arith.sieve_primes(max(M + N, 2)).primes
-    vals = np.zeros(N, dtype=np.complex128)
-    vals[ps[(ps > M) & (ps <= M + N)] - M - 1] = 1.0
-    return CoefficientSequence(M, vals)
+    ps = ps[np.searchsorted(ps, M, side="right"):np.searchsorted(ps, M + N, side="right")]
+    return CoefficientSequence(M, np.ones(ps.size), N=N, index=ps)
 
 
 @dataclass
@@ -613,7 +659,7 @@ def brun_titchmarsh(M: int, N: int) -> BrunTitchmarshReport:
     Q_real = math.sqrt(N) / math.log(N)
     Q = max(2, math.floor(Q_real))
     seq = prime_indicator(M, N)
-    count = int(np.count_nonzero(seq.values))
+    count = seq.nonzero[0].size
     bound = (math.sqrt(N) + Q) ** 2 / math.log(Q)
     asymptote = 2 * N / math.log(N)
     eq16_report = lsi_eq16(seq, Q)

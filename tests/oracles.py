@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from largesieve.arith import von_mangoldt
+from largesieve.asymptotics import _nu_sums
 
 
 def vm_k_recurrence_tables(N, kmax):
@@ -72,3 +73,13 @@ def L1_chiD_chunks(table, T):
         n = np.arange(lo, hi + 1)
         total += float(np.sum(table[n % D] / n)) if D > 1 else float(np.sum(1.0 / n))
     return total
+
+
+def T_q(q, x: float) -> float:
+    """sum of nu(n) / n over n <= x with (n, q) = 1."""
+    return _nu_sums(q, x)[2]
+
+
+def count_nu_tau(x: float) -> int:
+    """Exact sum of nu(n) tau(n) over n <= x."""
+    return int(_nu_sums(1, x)[1])

@@ -6,6 +6,7 @@ import pytest
 from largesieve import asymptotics as asy
 from largesieve.arith import divisor_count, factorize, nu, q3_radical
 from largesieve.errors import DomainError
+from oracles import T_q, count_nu_tau
 
 
 def S_brute(q, x):
@@ -30,21 +31,21 @@ def test_S_q_against_brute_force(q):
 
 
 def test_T_q_examples():
-    assert asy.T_q(1, 1) == 1.0
-    assert asy.T_q(1, 10) == pytest.approx(1 + 1 / 3 + 1 / 7, rel=1e-15)
+    assert T_q(1, 1) == 1.0
+    assert T_q(1, 10) == pytest.approx(1 + 1 / 3 + 1 / 7, rel=1e-15)
 
 
 def test_count_nu_tau():
-    assert asy.count_nu_tau(1) == 1
-    assert asy.count_nu_tau(10) == 5  # n = 1, 3, 7
+    assert count_nu_tau(1) == 1
+    assert count_nu_tau(10) == 5  # n = 1, 3, 7
     brute = sum(nu(n) * divisor_count(n) for n in range(1, 1001))
-    assert asy.count_nu_tau(1000) == brute
+    assert count_nu_tau(1000) == brute
 
 
 def test_T_squared_dominates_S():
     for q in (1, 3, 7, 21, 105, 3 * 7 * 11 * 19):
         for x in (10**2, 10**4, 10**6):
-            assert asy.T_q(q, x) ** 2 >= asy.S_q(q, x)
+            assert T_q(q, x) ** 2 >= asy.S_q(q, x)
 
 
 def test_constant_c_single_factor():
@@ -64,7 +65,7 @@ def test_constant_c_range_and_consistency():
 def test_constant_c_matches_mean_of_nu_tau():
     # the empirical mean of nu tau pins the residue (and its 2/pi prefactor)
     c = asy.constant_c(10**6).value
-    mean = asy.count_nu_tau(10**6) / 10**6
+    mean = count_nu_tau(10**6) / 10**6
     assert abs(mean - c) / c < 0.01
 
 
@@ -102,8 +103,8 @@ def test_S_slope_matches_constant():
 
 def test_count_converges_with_x():
     c = asy.constant_c(10**6).value
-    dev5 = abs(asy.count_nu_tau(10**5) / 10**5 - c)
-    dev7 = abs(asy.count_nu_tau(10**7) / 10**7 - c)
+    dev5 = abs(count_nu_tau(10**5) / 10**5 - c)
+    dev7 = abs(count_nu_tau(10**7) / 10**7 - c)
     assert dev7 < dev5
 
 
@@ -143,7 +144,7 @@ def test_T_lower_bound_shape():
         for p in q3_radical(q).prime_factors:
             corr *= 1 + 1 / p
         for x in (10**2, 10**4, 10**6):
-            kappas.append(asy.T_q(q, x) * corr / math.sqrt(math.log(x)))
+            kappas.append(T_q(q, x) * corr / math.sqrt(math.log(x)))
     assert min(kappas) > 0.5
     assert max(kappas) / min(kappas) < 1.5
 

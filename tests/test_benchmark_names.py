@@ -11,8 +11,16 @@ arguments (a, q); it wraps CharacterGroup.characters, CharacterGroup.value_matri
 and every module binding of is_primitive.  run.py's traced mode fails a
 workload (bd, mvs, Brun-Titchmarsh) that makes no call into any one of these,
 so a refactor that stops calling one fails here first.
+
+On every residue_sums call the tracer also reads a.N and
+np.count_nonzero(a.values) of the coefficient sequence, for its entries and
+nonzero-fraction counters.  Both must stay N and the number of nonzero
+coefficients, whether the sequence is stored densely or by index.  Tier-1
+does not run perfbench's own tests, so these tests are where such a change
+shows.
 """
 
+import numpy as np
 import pytest
 
 import largesieve
@@ -57,3 +65,13 @@ def test_workloads_call_the_traced_residue_layers(run, monkeypatch):
     for name in ("residue_sums", "primitive_char_sums", "is_primitive", "characters",
                  "value_matrix"):
         assert calls.get(name, 0) > 0, name
+
+
+@pytest.mark.parametrize("make, N, nonzero", [
+    (lambda: lsi.prime_indicator(1000, 10_000), 10_000, 1167),  # pi(11000) - pi(1000)
+    (lambda: lsi.random_sequence(3000, seed=1), 3000, 3000),
+], ids=["prime_indicator", "random_sequence"])
+def test_the_sequence_fields_the_tracer_reads(make, N, nonzero):
+    a = make()
+    assert a.N == N
+    assert np.count_nonzero(a.values) == nonzero

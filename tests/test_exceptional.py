@@ -40,6 +40,7 @@ def test_coeffs_lambda_f():
     for n in range(1, 11):
         assert a.values[n - 1].real == pytest.approx(von_mangoldt(n), abs=1e-12)
     assert a.values[0] == 0.0  # Lambda(1) = 0
+    assert a.values.dtype == np.float64
     # Chebyshev psi at 1e5 sits within 1% of N
     a = ex.coeffs_lambda_f(10**5, ex.indicator_function())
     assert abs(a.total().real - 10**5) / 10**5 < 0.01
@@ -182,11 +183,12 @@ def test_prop31_excluding_chi_D_decreases_lhs():
 @pytest.mark.parametrize("D", [3, 4, 5, 8])
 def test_log_weighted_lhs_against_scalar_oracle(D):
     a = random_sequence(90, M=7, seed=4, trial=0)
+    ns = np.arange(a.M + 1, a.M + a.N + 1)
     Q = 9.5
     for chi_D in real_primitive_characters(D):
         oracle = 0.0
         for q in range(2, 10):
-            energy = sum(abs(sum(av * chi(int(n)) for n, av in zip(a.n_values, a.values))) ** 2
+            energy = sum(abs(sum(av * chi(int(n)) for n, av in zip(ns, a.values))) ** 2
                          for chi in character_group(q) if is_primitive(chi) and chi != chi_D)
             oracle += math.log(Q / q) * energy
         assert ex._log_weighted_lhs(a, Q, chi_D) == pytest.approx(oracle, rel=1e-12)
@@ -245,12 +247,15 @@ def test_prop32_guard_paths():
 
 def test_prime_indicator_and_eq31():
     a = ex.prime_indicator(10, 20)  # primes in (10, 30]
-    assert list(a.n_values[np.abs(a.values) > 0]) == [11, 13, 17, 19, 23, 29]
+    n = np.arange(a.M + 1, a.M + a.N + 1)
+    assert list(n[np.abs(a.dense()) > 0]) == [11, 13, 17, 19, 23, 29]
     c5 = real_primitive_characters(5)[0]
     Q = math.sqrt(10**4) / math.log(10**4)
     rep = ex.eq31_check(ex.prime_indicator(1000, 10**4), Q, c5)
     assert rep.passed
     assert rep.extras["prime_count"] == 1167  # pi(11000) - pi(1000)
+    dense = CoefficientSequence(1000, ex.prime_indicator(1000, 10**4).dense())
+    assert ex.eq31_check(dense, Q, c5) == rep  # the same coefficients, held densely
 
 
 def test_eq31_empty_interval():
@@ -273,14 +278,18 @@ def test_eq31_validation():
     c5 = real_primitive_characters(5)[0]
     with pytest.raises(DomainError):
         ex.eq31_check(CoefficientSequence.ones(10), 6.0, c5)  # not an indicator
-    a = ex.prime_indicator(0, 30)
-    a.values[0] = 1.0  # n = 1 is not prime
+    a = ex.prime_indicator(0, 30).dense()
+    a[0] = 1.0  # n = 1 is not prime
     with pytest.raises(DomainError):
-        ex.eq31_check(a, 6.0, c5)
-    b = ex.prime_indicator(0, 30)
-    b.values[1] = 0.0  # drops the prime 2
+        ex.eq31_check(CoefficientSequence(0, a), 6.0, c5)
+    b = ex.prime_indicator(0, 30).dense()
+    b[1] = 0.0  # drops the prime 2
     with pytest.raises(DomainError):
-        ex.eq31_check(b, 6.0, c5)
+        ex.eq31_check(CoefficientSequence(0, b), 6.0, c5)
+    c = ex.prime_indicator(0, 30).dense()
+    c[2] = 2.0  # a_3 = 2 on the right support
+    with pytest.raises(DomainError):
+        ex.eq31_check(CoefficientSequence(0, c), 6.0, c5)
     with pytest.raises(DomainError):
         ex.eq31_check(ex.prime_indicator(0, 30), 3.0, c5)  # D > Q
 
@@ -292,3 +301,4 @@ def test_thm21_coefficients():
     want = np.array([von_mangoldt(int(k)) for k in n]) / np.sqrt(n) / math.log(N)
     assert (a.M, a.N) == (0, N)
     assert np.allclose(a.values, want, rtol=1e-14, atol=0)
+    assert a.values.dtype == np.float64

@@ -31,7 +31,7 @@ def vm_sqrt_coeffs(N):
 def test_sequence_basics():
     a = CoefficientSequence(10, np.arange(1, 6))
     assert a.N == 5
-    assert list(a.n_values) == [11, 12, 13, 14, 15]
+    assert list(a.nonzero[0]) == [11, 12, 13, 14, 15]
     assert a.norm_sq == sum(k * k for k in range(1, 6))
 
 
@@ -106,7 +106,7 @@ def test_report_edge_rules():
 
 def residue_oracle(a, q):
     b = np.zeros(q, dtype=np.complex128)
-    for n, an in zip(range(a.M + 1, a.M + a.N + 1), a.values):
+    for n, an in zip(range(a.M + 1, a.M + a.N + 1), a.dense()):
         b[n % q] += an
     return b
 
@@ -257,7 +257,8 @@ def test_thm12_matches_the_per_modulus_path(density, P, moduli, monkeypatch):
     # only the share prod (1 - 1/p) of the n avoids P, so draw at the inverse density
     a = sequence_at_density(2000, min(1.0, density * math.prod(p / (p - 1) for p in P)),
                             seed=22)
-    a.values[np.any([a.n_values % p == 0 for p in P], axis=0)] = 0.0
+    n = np.arange(a.M + 1, a.M + a.N + 1)
+    a.values[np.any([n % p == 0 for p in P], axis=0)] = 0.0
     old = 0.0
     for q in moduli:
         chars = character_group(q)
@@ -367,18 +368,20 @@ def test_primitive_energy_on_primes_matches_the_direct_path():
 
 def test_char_sum_against_scalar_oracle():
     a = random_sequence(80, M=13, seed=2, trial=0)
+    ns = np.arange(a.M + 1, a.M + a.N + 1)
     for q in (3, 8, 12):
         for chi in character_group(q):
-            oracle = sum(av * chi(int(n)) for n, av in zip(a.n_values, a.values))
+            oracle = sum(av * chi(int(n)) for n, av in zip(ns, a.values))
             assert abs(char_sum(chi, a) - oracle) < 1e-9
 
 
 def test_sieve_lhs_against_scalar_oracle():
     a = random_sequence(90, M=7, seed=4, trial=0)
+    ns = np.arange(a.M + 1, a.M + a.N + 1)
     qs = [9, 1, 8, 5, 6, 12]  # unsorted, with a q that has no primitive character
     oracle = 0.0
     for q in qs:
-        energy = sum(abs(sum(av * chi(int(n)) for n, av in zip(a.n_values, a.values))) ** 2
+        energy = sum(abs(sum(av * chi(int(n)) for n, av in zip(ns, a.values))) ** 2
                      for chi in character_group(q) if is_primitive(chi))
         oracle += (q + 0.5) * energy
     got = lsi.sieve_lhs(a, lambda q: q + 0.5, qs)
@@ -387,9 +390,119 @@ def test_sieve_lhs_against_scalar_oracle():
 
 
 def test_prime_indicator_short_ranges():
-    assert list(lsi.prime_indicator(0, 1).values) == [0]
-    assert list(lsi.prime_indicator(0, 3).values) == [0, 1, 1]
-    assert list(lsi.prime_indicator(7, 4).values) == [0, 0, 0, 1]  # (7, 11]
+    assert list(lsi.prime_indicator(0, 1).dense()) == [0]
+    assert list(lsi.prime_indicator(0, 3).dense()) == [0, 1, 1]
+    assert list(lsi.prime_indicator(7, 4).dense()) == [0, 0, 0, 1]  # (7, 11]
+
+
+def prime_count(lo, hi):
+    """The number of primes in (lo, hi], by trial division."""
+    return sum(1 for n in range(max(lo + 1, 2), hi + 1)
+               if all(n % d for d in range(2, math.isqrt(n) + 1)))
+
+
+@pytest.mark.parametrize("M, N", [(0, 1), (0, 3), (7, 4), (114, 12), (50, 0),
+                                  (10**4, 3000)])
+def test_prime_indicator_stores_only_its_primes(M, N):
+    a = lsi.prime_indicator(M, N)
+    assert (a.M, a.N) == (M, N)
+    assert a.index.size == a.values.size == prime_count(M, M + N)
+    assert a.values.dtype == np.float64 and np.all(a.values == 1.0)
+    assert all(M < n <= M + N and prime_count(n - 1, n) == 1 for n in a.index)
+
+
+def index_storage(a):
+    """The coefficients of a dense sequence, held by index."""
+    i = np.flatnonzero(a.values)
+    return CoefficientSequence(a.M, a.values[i], N=a.N, index=i + a.M + 1)
+
+
+def with_zeros(a, seed):
+    a.values[np.random.default_rng(seed).random(a.N) < 0.6] = 0
+    return a
+
+
+def test_index_storage_matches_dense_on_integer_data():
+    real = CoefficientSequence(9, np.random.default_rng(1).integers(-9, 10, 3000))
+    primes = lsi.prime_indicator(10**4, 5000)
+    for a, b in [(d, index_storage(d)) for d in (with_zeros(integer_coeffs(3000, 9), 2),
+                                                 with_zeros(real, 3))] + [
+            (CoefficientSequence(primes.M, primes.dense()), primes)]:
+        assert b.values.size == np.count_nonzero(a.values) < a.N
+        assert np.array_equal(b.dense(), a.values)
+        for q in (1, 2, 7, 30, 97, 4000):
+            assert np.array_equal(lsi.residue_sums(a, q), lsi.residue_sums(b, q)), q
+            assert np.array_equal(lsi.residue_sums(b, q), residue_oracle(a, q)), q
+        weight = lambda q: q / euler_phi(q)  # noqa: E731
+        assert lsi.sieve_lhs(a, weight, range(1, 41)) == lsi.sieve_lhs(b, weight, range(1, 41))
+        assert a.norm_sq == b.norm_sq and a.total() == b.total()
+
+
+def test_index_storage_matches_dense_on_random_data():
+    a = with_zeros(random_sequence(4000, M=5, seed=6, trial=0), 4)
+    b = index_storage(a)
+    for q in (1, 3, 64, 97, 4000):
+        ref = lsi.residue_sums(a, q)
+        assert np.allclose(lsi.residue_sums(b, q), ref, rtol=1e-12,
+                           atol=1e-12 * np.max(np.abs(ref)))
+    weight = lambda q: q / euler_phi(q)  # noqa: E731
+    assert lsi.sieve_lhs(b, weight, range(1, 41)) == pytest.approx(
+        lsi.sieve_lhs(a, weight, range(1, 41)), rel=1e-12)
+    assert b.norm_sq == pytest.approx(a.norm_sq, rel=1e-12)
+
+
+def test_index_storage_raises_the_same_support_error():
+    vals = np.zeros(60)
+    vals[[1, 6, 9, 12, 21]] = [1.0, 2.0, -1.0, 3.0, 5.0]  # n = 7, 12, 15, 18, 27 with M = 5
+    dense = CoefficientSequence(5, vals)
+    messages = []
+    for a in (dense, index_storage(dense)):
+        with pytest.raises(SupportError, match=r"eq16: 4 coefficients .*\(first at n=12\)") as e:
+            lsi_eq16(a, 3)
+        messages.append(str(e.value))
+    assert messages[0] == messages[1]
+
+
+def test_storage_dtypes():
+    assert CoefficientSequence(0, np.arange(5)).values.dtype == np.float64
+    assert CoefficientSequence.ones(4).values.dtype == np.float64
+    assert CoefficientSequence.zeros(4).values.dtype == np.float64
+    z = np.array([1.5 - 0.0j, -0.0 + 2j, complex(np.nan, 1), 3 + 0j, 0j])
+    for a in (CoefficientSequence(3, z), CoefficientSequence(3, z[:4], N=9,
+                                                             index=[4, 6, 7, 12])):
+        assert a.values.dtype == np.complex128
+        assert np.array_equal(a.values.view(np.uint64), z[:a.values.size].view(np.uint64))
+    assert lsi.random_sequence(10, seed=1).values.dtype == np.complex128
+
+
+def test_index_storage_checks_its_index():
+    a = CoefficientSequence(10, [2.0, 3.0, -1.0], N=5, index=[11, 12, 15])
+    assert list(a.dense()) == [2.0, 3.0, 0.0, 0.0, -1.0]
+    assert [list(x) for x in a.nonzero] == [[11, 12, 15], [2.0, 3.0, -1.0]]
+    for kw in ({"index": [11, 12, 15]}, {"N": 5, "index": [12, 11, 15]},
+               {"N": 5, "index": [11, 12, 12]}, {"N": 5, "index": [10, 12, 15]},
+               {"N": 5, "index": [11, 12, 16]}, {"N": 5, "index": [11, 12]},
+               {"N": 4}):
+        with pytest.raises(ValueError):
+            CoefficientSequence(10, [2.0, 3.0, -1.0], **kw)
+    with pytest.raises(ValueError):
+        CoefficientSequence(10, [2.0, 0.0, -1.0], N=5, index=[11, 12, 15])
+    with pytest.raises(ValueError):
+        CoefficientSequence(10, [], N=-1, index=[])
+
+
+@pytest.mark.parametrize("N, M, seed, trial, restriction", [
+    (0, 0, 0, 0, None), (1, 3, 1, 0, None), (1000, 0, 7, 2, None),
+    (5003, 17, 4, 1, SupportRestriction.rough(10)),
+    (2000, 123, 5, 3, SupportRestriction.prime_free([3, 7, 101]))])
+def test_random_sequence_matches_the_two_draw_expression(N, M, seed, trial, restriction):
+    rng = np.random.default_rng([seed, trial, N, M])
+    want = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / math.sqrt(2)
+    if restriction is not None:
+        want[~restriction.allowed_mask(np.arange(M + 1, M + N + 1))] = 0.0
+    got = random_sequence(N, M, seed=seed, trial=trial, restriction=restriction)
+    assert np.array_equal(got.values, want)
+    assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------
@@ -492,6 +605,7 @@ def test_eq16_lhs_below_eq14_lhs():
 
 def thm13_brute(a, Q):
     """Oracle: direct triple loop with scalar character and c_r evaluations."""
+    ns = np.arange(a.M + 1, a.M + a.N + 1)
     total = 0.0
     for q in range(1, Q + 1):
         for r in range(1, Q // q + 1):
@@ -499,7 +613,7 @@ def thm13_brute(a, Q):
                 continue
             for chi in primitive_characters(q):
                 s = sum(av * chi(int(n)) * ramanujan_sum_divisor(r, int(n))
-                        for n, av in zip(a.n_values, a.values))
+                        for n, av in zip(ns, a.values))
                 total += q / euler_phi(q * r) * abs(s) ** 2
     return total
 
