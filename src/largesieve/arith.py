@@ -86,7 +86,7 @@ def sieve_primes(limit: int) -> PrimeTable:
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds budget {SIEVE_LIMIT_BUDGET}")
     mask = _backend.prime_mask(int(limit))
-    return PrimeTable(limit=int(limit), primes=np.flatnonzero(mask).astype(np.int64))
+    return PrimeTable(limit=int(limit), primes=np.flatnonzero(mask).astype(np.int64, copy=False))
 
 
 def prime_table(limit: int) -> PrimeTable:

@@ -44,7 +44,7 @@ def _primitive_root_mod_odd_power(p: int, e: int) -> int:
 class _Component:
     """One cyclic factor of (Z/qZ)^x."""
 
-    __slots__ = ("kind", "p", "prime_power", "generator", "order", "dlog")
+    __slots__ = ("kind", "p", "prime_power", "generator", "order", "dlog", "walk")
 
     def __init__(self, kind: str, p: int, e: int, generator: int, order: int):
         self.kind = kind  # "odd" | "four" | "two_neg" | "two_five"
@@ -53,6 +53,7 @@ class _Component:
         self.generator = generator % self.prime_power
         self.order = order
         self.dlog = None  # filled by the group constructor
+        self.walk = None  # generator**t mod prime_power for t < order; None on the 2^e pair
 
     def conductors(self, a):
         """Conductor of n -> e(a dlog(n) / order), for an exponent or an array of them.
@@ -88,9 +89,9 @@ class CharacterGroup:
             self.dlog_matrix[j] = comp.dlog[n % comp.prime_power]
         self.root_table = np.exp(2j * np.pi * np.arange(self.exponent) / self.exponent)
         # exact values at quarter turns so real characters return exact +-1
-        for k in range(self.exponent):
-            if 4 * k % self.exponent == 0:
-                self.root_table[k] = (1.0, 1j, -1.0, -1j)[4 * k // self.exponent]
+        for j, value in enumerate((1.0, 1j, -1.0, -1j)):
+            if j * self.exponent % 4 == 0:
+                self.root_table[j * self.exponent // 4] = value
 
     @staticmethod
     def _build_components(modulus):
@@ -110,12 +111,13 @@ class CharacterGroup:
         two_pair = [c for c in self.components if c.kind in ("two_neg", "two_five")]
         for comp in self.components:
             if comp.kind in ("odd", "four"):
-                table = np.zeros(comp.prime_power, dtype=np.int64)
-                r = 1
-                for t in range(comp.order):
-                    table[r] = t
+                walk, r = [], 1
+                for _ in range(comp.order):
+                    walk.append(r)
                     r = r * comp.generator % comp.prime_power
-                comp.dlog = table
+                comp.walk = np.array(walk, dtype=np.int64)
+                comp.dlog = np.zeros(comp.prime_power, dtype=np.int64)
+                comp.dlog[comp.walk] = np.arange(comp.order)
         if two_pair:
             neg, five = two_pair
             pe = neg.prime_power

@@ -297,9 +297,16 @@ def primitive_char_sums(a: CoefficientSequence, q: int, b: np.ndarray | None = N
     mod q is a product of characters mod the m_j, and it is primitive
     exactly when every factor is.  So b is laid out as the CRT tensor
     B[n_1, ..., n_k] = b_n, n = n_j (mod m_j), and contracted one axis at a
-    time, last axis first, with the primitive value matrix mod m_j; the
-    character axes come out in group order.  For a prime power (k = 1) this
-    is value_matrix @ b, and for q = 1 (k = 0) it is b[0].
+    time, last axis first, with the primitive characters mod m_j; the
+    character axes come out in group order.  For q = 1 (k = 0) the sum is
+    b[0].
+
+    An odd m_j has a cyclic unit group with generator g, and its character
+    of exponent k sends g^t to e(kt/phi(m_j)).  So its sums are a discrete
+    Fourier transform of the axis read along the walk g^0, g^1, ..., taken
+    at the rows k of the primitive characters: O(m_j log m_j) work, and no
+    value table.  The 2-adic m_j (4 or 2^e) is contracted with its
+    primitive value matrix.
     """
     b = residue_sums(a, q) if b is None else b
     powers = [p**e for p, e in factorize(q).factors]
@@ -313,8 +320,14 @@ def primitive_char_sums(a: CoefficientSequence, q: int, b: np.ndarray | None = N
     for j in reversed(range(len(powers))):
         local = group(powers[j])
         factors[j] = [chi for chi in local.characters() if is_primitive(chi)]
-        sums = np.matmul(local.value_matrix(factors[j]),
-                         sums.reshape(math.prod(powers[:j]), powers[j], after))
+        axis = sums.reshape(math.prod(powers[:j]), powers[j], after)
+        if powers[j] % 2:
+            (component,) = local.components
+            # norm="forward" leaves the inverse transform, sum x_t e(+kt/n), unscaled
+            sums = np.fft.ifft(axis[:, component.walk, :], axis=1, norm="forward")
+            sums = sums[:, [chi.exponents[0] for chi in factors[j]], :]
+        else:
+            sums = np.matmul(local.value_matrix(factors[j]), axis)
         after *= len(factors[j])
     return group(q).product_characters(factors), sums.reshape(-1)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,21 @@ def test_sieve_against_trial_division():
     rng = np.random.default_rng(42)
     for n in rng.integers(2, 10**6, size=500):
         assert (int(n) in primes) == is_prime_td(int(n))
+
+
+def test_sieve_primes_keeps_one_read_only_int64_array():
+    # the primes are the array np.flatnonzero returns, not a copy of it
+    limit = 2_650_000
+    tracemalloc.start()
+    try:
+        table = sieve_primes(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.primes.dtype == np.int64
+    assert not table.primes.flags.writeable
+    mask_bytes = limit + 1  # one uint8 per n <= limit
+    assert peak <= 1.1 * (mask_bytes + table.primes.nbytes)
 
 
 def test_sieve_budget_guard(monkeypatch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from largesieve.arith import euler_phi, factorize, mobius
+from largesieve.arith import euler_phi, factorize, mobius, sieve_primes
 from largesieve.characters import (DirichletCharacter, character_group, chi4,
                                    conductor, group, induce, is_primitive, primitive_characters,
                                    primitive_core, principal_character,
@@ -146,6 +146,33 @@ def test_value_matrix_equals_the_pointwise_definition():
         chars = g.characters()
         pointwise = np.array([[chi(n) for n in range(q)] for chi in chars])
         assert np.array_equal(g.value_matrix(chars), pointwise), q
+
+
+def odd_prime_powers(limit):
+    for p in sieve_primes(limit).primes.tolist()[1:]:
+        m = p
+        while m <= limit:
+            yield m
+            m *= p
+
+
+def test_walk_inverts_the_discrete_log():
+    for m in [*odd_prime_powers(800), 7919, 3**8]:
+        (comp,) = group(m).components
+        assert np.array_equal(comp.dlog[comp.walk], np.arange(comp.order)), m
+        units = [n for n in range(1, m) if math.gcd(n, m) == 1]
+        assert sorted(comp.walk.tolist()) == units, m
+
+
+@pytest.mark.parametrize("q, exponent", [(2, 1), (3, 2), (5, 4), (7, 6), (13, 12), (25, 20)])
+def test_root_table_is_exact_at_quarter_turns(q, exponent):
+    g = group(q)
+    assert g.exponent == exponent
+    for j, value in enumerate((1.0, 1j, -1.0, -1j)):
+        if j * exponent % 4 == 0:
+            assert g.root_table[j * exponent // 4] == value
+    expected = np.exp(2j * np.pi * np.arange(exponent) / exponent)
+    assert np.allclose(g.root_table, expected, rtol=0.0, atol=1e-15)
 
 
 def test_orthogonality_rows():

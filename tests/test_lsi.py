@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from largesieve import lsi
 from largesieve.arith import euler_phi, factorize, prime_table
-from largesieve.characters import (character_group, chi4, group, is_primitive,
-                                   primitive_characters)
+from largesieve.characters import (CharacterGroup, character_group, chi4, group,
+                                   is_primitive, primitive_characters)
 from largesieve.errors import DomainError, SupportError
 from largesieve.expsums import ramanujan_sum_divisor
 from largesieve.lsi import (CoefficientSequence, SupportRestriction, brun_titchmarsh,
@@ -322,10 +323,15 @@ def test_modulus_one_and_primitive_energy_edge_cases():
 
 
 def direct_primitive_sums(q, b):
-    """The primitive characters mod q in group order, and value_matrix(prim) @ b."""
+    """The primitive characters mod q in group order, and value_matrix(prim) @ b.
+
+    The product is taken 256 characters at a time, so a large q needs no
+    table of phi(q) rows.
+    """
     g = group(q)
     prim = [chi for chi in g.characters() if is_primitive(chi)]
-    return prim, g.value_matrix(prim) @ b
+    direct = [g.value_matrix(prim[i:i + 256]) @ b for i in range(0, len(prim), 256)]
+    return prim, np.concatenate(direct or [np.zeros(0)])
 
 
 def assert_matches_the_direct_path(q, b):
@@ -354,6 +360,48 @@ def test_primitive_char_sums_match_the_direct_path():
 def test_primitive_char_sums_crt_cases(q, count):
     b = random_sequence(q, seed=q).values
     assert len(assert_matches_the_direct_path(q, b)) == count
+
+
+@pytest.mark.parametrize("q", [
+    *(3**e for e in range(1, 7)), *(5**e for e in range(1, 5)), 7**3, 11**2, 797, 7919,
+    4 * 27, 8 * 125, 16 * 9 * 7, 2**9,  # with a 2-adic factor
+])
+def test_fft_sums_match_the_direct_path(q):
+    rng = np.random.default_rng(q)
+    assert_matches_the_direct_path(q, rng.standard_normal(q) + 1j * rng.standard_normal(q))
+
+
+@pytest.mark.parametrize("q", [797, 3**6, 8 * 125])
+def test_fft_sums_of_a_prime_indicator_match_the_direct_path(q):
+    assert_matches_the_direct_path(q, lsi.residue_sums(lsi.prime_indicator(10**5, 4 * 10**4), q))
+
+
+def test_fft_sums_build_no_value_table():
+    # the value table mod 797 has 796 x 797 complex entries, about 10 MB
+    q = 797
+    group(q)
+    lsi.primitive_char_sums(None, 7, np.ones(7))  # numpy loads np.fft on first use
+    b = random_sequence(q, seed=3).values
+    tracemalloc.start()
+    try:
+        lsi.primitive_char_sums(None, q, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
+def test_only_the_two_adic_factor_uses_a_value_table(monkeypatch):
+    moduli = []
+    value_matrix = CharacterGroup.value_matrix
+
+    def spy(self, chars):
+        moduli.append(self.modulus)
+        return value_matrix(self, chars)
+
+    monkeypatch.setattr(CharacterGroup, "value_matrix", spy)
+    lsi_mvs(random_sequence(500), 60)
+    assert moduli and all(m & (m - 1) == 0 for m in moduli), sorted(set(moduli))
 
 
 def test_primitive_energy_on_primes_matches_the_direct_path():
