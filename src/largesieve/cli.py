@@ -106,6 +106,14 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in _float_list(text)]
 
 
+def _integer(text: str) -> int:
+    """An integer option, also written as a float such as 1e6; must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return int(value)
+
+
 def validate_args(args) -> None:
     """Reject inputs that admit no verdict, as a usage error (exit 2)."""
     if args.command == "verify":
@@ -197,11 +205,11 @@ def cmd_verify(args) -> list[dict]:
 def cmd_constants(args) -> list[dict]:
     if args.cutoff < 10**3:
         raise DomainError("cutoff must be >= 10^3")
+    L = exceptional.L1_chiD(chi4(), args.T)  # first: it refuses an over-budget T at once
     rows = []
     c = asymptotics.constant_c(args.cutoff)
     rows.append({"item": "constant_c", "value": c.value, "reference": "",
                  "discrepancy": "", "tolerance": c.tail_bound, "pass": True})
-    L = exceptional.L1_chiD(chi4(), args.T)
     disc = abs(L.value - math.pi / 4)
     rows.append({"item": "L1_chi4_vs_pi_over_4", "value": L.value,
                  "reference": math.pi / 4, "discrepancy": disc,
@@ -244,20 +252,20 @@ def scan_lemma21(args) -> list[dict]:
 def scan_exceptional(args) -> list[dict]:
     f = exceptional.smooth_bump_function() if args.f == "bump" \
         else exceptional.indicator_function()
+    chars = [(D, idx, chi) for D in _int_list(args.D)
+             for idx, chi in enumerate(real_primitive_characters(D))]
+    Ns = _int_list(args.N or "1e4")
+    setups = exceptional.make_setups([chi for _, _, chi in chars], Ns, f)
     rows = []
-    for D in _int_list(args.D):
-        n_chars = len(real_primitive_characters(D))
-        for idx in range(n_chars):
-            for N in _int_list(args.N or "1e4"):
-                setup = exceptional.make_setup(D, N, f, char_index=idx)
-                reports = [(exceptional.lemma31_report(setup), "fitted_kappa")]
-                if f.kind == "indicator":
-                    reports.append((exceptional.prop31_report(setup), "C0"))
-                for rep, constant in reports:
-                    rows.append({"report": rep.inequality_id, "D": D, "char_index": idx,
-                                 "N": N, "Q": setup.Q_real, "f": f.kind, "lhs": rep.lhs,
-                                 "fitted_constant": rep.extras[constant],
-                                 "L1": rep.extras["L1"], "pass": rep.passed})
+    for (D, idx, _), setup in zip([c for c in chars for _ in Ns], setups):
+        reports = [(exceptional.lemma31_report(setup), "fitted_kappa")]
+        if f.kind == "indicator":
+            reports.append((exceptional.prop31_report(setup), "C0"))
+        for rep, constant in reports:
+            rows.append({"report": rep.inequality_id, "D": D, "char_index": idx,
+                         "N": setup.N, "Q": setup.Q_real, "f": f.kind, "lhs": rep.lhs,
+                         "fitted_constant": rep.extras[constant],
+                         "L1": rep.extras["L1"], "pass": rep.passed})
     return rows
 
 
@@ -298,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run one inequality over a trial grid")
     v.add_argument("--ineq", required=True, choices=INEQUALITIES)
-    v.add_argument("--N", type=lambda s: int(float(s)), default=200)
-    v.add_argument("--M", type=lambda s: int(float(s)), default=0)
-    v.add_argument("--Q", type=lambda s: int(float(s)), default=10)
+    v.add_argument("--N", type=_integer, default=200)
+    v.add_argument("--M", type=_integer, default=0)
+    v.add_argument("--Q", type=_integer, default=10)
     v.add_argument("--trials", type=int, default=20)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--q", type=int, default=1, help="modulus for eq15")
@@ -315,18 +323,18 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
 
     c = sub.add_parser("constants", help="Euler-product constant and L-value checks")
-    c.add_argument("--cutoff", type=lambda s: int(float(s)), default=10**6)
-    c.add_argument("--T", type=lambda s: int(float(s)), default=10**6,
+    c.add_argument("--cutoff", type=_integer, default=10**6)
+    c.add_argument("--T", type=_integer, default=10**6,
                    help="truncation for L(1, chi_4)")
     c.add_argument("--s", type=float, default=2.0, help="series comparison point")
 
     s = sub.add_parser("scan", help="grid scans with fitted constants")
     s.add_argument("name", choices=["bt", "lemma21", "exceptional", "prop32"])
     s.add_argument("--N", default=None, help="comma list")
-    s.add_argument("--M", type=lambda x: int(float(x)), default=None)
+    s.add_argument("--M", type=_integer, default=None)
     s.add_argument("--q", default="1,3,21,105", help="comma list (lemma21)")
     s.add_argument("--x", default="1e4,1e6", help="comma list (lemma21)")
-    s.add_argument("--cutoff", type=lambda x: int(float(x)), default=10**6)
+    s.add_argument("--cutoff", type=_integer, default=10**6)
     s.add_argument("--D", default="5", help="comma list of conductors")
     s.add_argument("--f", choices=["indicator", "bump"], default="indicator")
     s.add_argument("--eps", default="0.9", help="comma list (prop32)")

@@ -14,12 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from largesieve.arith import factorize, von_mangoldt_table
+from largesieve.arith import SIEVE_LIMIT_BUDGET, factorize, von_mangoldt_table
 # group, is_primitive and residue_sums are unused here but stay importable from
 # this module: perfbench/test_perfbench.py checks that its tracer wraps them.
 from largesieve.characters import (DirichletCharacter, group, is_primitive,  # noqa: F401
                                    real_primitive_characters)
-from largesieve.errors import DomainError
+from largesieve.errors import DomainError, ResourceLimitError
 from largesieve.lsi import (REL_TOL, CoefficientSequence, InequalityReport,  # noqa: F401
                             char_sum, make_report, prime_indicator,
                             primitive_char_sums, residue_sums, sieve_lhs)
@@ -112,19 +112,40 @@ class ExceptionalSetup:
 def make_setup(D: int, N: int, f: TestFunction | None = None,
                char_index: int = 0) -> ExceptionalSetup:
     """Build a setup, validating 3 <= D <= sqrt(N)/log N, and evaluate it once."""
-    if N < 3:
-        raise DomainError("N must be >= 3")
     chars = real_primitive_characters(D)
     if not chars:
         raise DomainError(f"no real primitive character of conductor {D} exists")
-    chi = chars[char_index]
-    N = int(N)
+    return make_setups([chars[char_index]], [N], f)[0]
+
+
+def make_setups(characters: list[DirichletCharacter], Ns: list[int],
+                f: TestFunction | None = None) -> list[ExceptionalSetup]:
+    """One setup per pair of a real primitive character and an N, character-major.
+
+    Every pair is validated before any is evaluated.  The full log-weighted
+    sieve depends only on N and f, and L(1, chi_D) only on chi_D, so each is
+    evaluated once; a setup subtracts its own chi_D term from its N's sieve.
+    """
     f = f if f is not None else indicator_function()
-    Q = math.sqrt(N) / math.log(N)
-    if not 3 <= D <= Q:
-        raise DomainError(f"requires 3 <= D <= sqrt(N)/log N = {Q:.3f}; got D = {D}")
-    lhs = _log_weighted_lhs(coeffs_lambda_f(N, f), Q, chi)
-    return ExceptionalSetup(D, chi, N, f, Q, lhs, L1_chiD(chi))
+    Ns = [int(N) for N in Ns]
+    Qs = {}
+    for N in Ns:
+        if N < 3:
+            raise DomainError("N must be >= 3")
+        Q = Qs[N] = math.sqrt(N) / math.log(N)
+        for chi in characters:
+            if not 3 <= chi.modulus <= Q:
+                raise DomainError(f"requires 3 <= D <= sqrt(N)/log N = {Q:.3f}; "
+                                  f"got D = {chi.modulus}")
+    L1s = [L1_chiD(chi) for chi in characters]
+    lhs = {}
+    for N, Q in Qs.items():
+        a = coeffs_lambda_f(N, f)
+        full = _log_weighted_sieve(a, Q)
+        for j, chi in enumerate(characters):
+            lhs[j, N] = _log_weighted_lhs(a, Q, chi, full)
+    return [ExceptionalSetup(chi.modulus, chi, N, f, Qs[N], lhs[j, N], L1)
+            for j, (chi, L1) in enumerate(zip(characters, L1s)) for N in Ns]
 
 
 # ---------------------------------------------------------------------
@@ -172,14 +193,29 @@ class LTruncation:
     tail_bound: float
 
 
+# L1_chiD makes and sums its terms in leaves of at most _LEAF consecutive n,
+# whose n, chi_D(n) and quotients (128 KB each) stay in cache; _CHUNK fixes
+# the summation order its value is defined by.
+_LEAF = 1 << 14
+_CHUNK = 1 << 20
+
+
 def L1_chiD(chi_D: DirichletCharacter, truncation: int | None = None) -> LTruncation:
     """sum over n <= T of chi_D(n)/n, tail bounded by D/T.
 
     Default truncation max(10^6, 10^3 D, D^2) keeps the relative tail below
-    about 10^-3 for desk-scale conductors and meets the T >= D^2 guard.
-    The terms are summed in chunks of 2^20 consecutive n: each chunk by
-    np.sum (pairwise), and the chunk sums in increasing n into a float.
-    A chunk's chi_D(n) is a slice of the character table tiled once.
+    about 10^-3 for desk-scale conductors and meets the T >= D^2 guard; a T
+    above SIEVE_LIMIT_BUDGET raises ResourceLimitError.
+
+    The value is that of summing chunks of 2^20 consecutive n, each by
+    np.sum, in increasing n into a float.  np.sum adds float64 pairwise: a run
+    of more than 128 terms is the sum of its two parts split at
+    n//2 - (n//2) % 8.  So each chunk is split that way until a part holds at
+    most _LEAF terms, each such leaf is made and summed by np.sum in one
+    reused buffer, and the parts are added back up the same tree; that is
+    the chunk's np.sum, bit for bit, in O(_LEAF + D) memory.  A leaf's n is
+    a fixed offset vector plus its first n, and its chi_D(n) a slice of the
+    character table tiled to _LEAF + D entries.
     """
     D = chi_D.modulus
     if truncation is None:
@@ -187,14 +223,26 @@ def L1_chiD(chi_D: DirichletCharacter, truncation: int | None = None) -> LTrunca
     T = int(truncation)
     if T < D * D:
         raise DomainError(f"truncation {T} below D^2 = {D * D}: tail bound too weak")
-    chunk = 1 << 20
-    table = chi_D.values().real
-    tiled = np.resize(table, min(chunk, T) + D)  # tiled[i] = chi_D(i)
+    if T > SIEVE_LIMIT_BUDGET:
+        raise ResourceLimitError(f"truncation {T} exceeds budget {SIEVE_LIMIT_BUDGET}")
+    leaf = min(_LEAF, T)
+    chi = np.tile(chi_D.values().real, -(-(leaf + D) // D))  # chi[i] = chi_D(i)
+    offsets = np.arange(leaf, dtype=np.float64)
+    buf = np.empty(leaf)
+
+    def pairwise(lo: int, n: int) -> float:
+        """np.sum of the terms of lo, lo + 1, ..., lo + n - 1."""
+        if n > _LEAF:
+            half = n // 2 - (n // 2) % 8
+            return pairwise(lo, half) + pairwise(lo + half, n - half)
+        terms = buf[:n]
+        np.add(offsets[:n], lo, out=terms)
+        np.divide(chi[lo % D: lo % D + n], terms, out=terms)
+        return np.sum(terms)
+
     total = 0.0
-    for lo in range(1, T + 1, chunk):
-        terms = np.arange(lo, min(lo + chunk, T + 1), dtype=np.float64)
-        np.divide(tiled[lo % D: lo % D + terms.size], terms, out=terms)
-        total += float(np.sum(terms))
+    for lo in range(1, T + 1, _CHUNK):
+        total += float(pairwise(lo, min(_CHUNK, T + 1 - lo)))
     return LTruncation(value=total, truncation=T, tail_bound=D / T)
 
 
@@ -221,13 +269,21 @@ def eq37_check(a: CoefficientSequence, chi_D: DirichletCharacter) -> InequalityR
                        extras={"coeff_sum": x, "rho_sum": rho_sum})
 
 
-def _log_weighted_lhs(a: CoefficientSequence, Q: float, chi_D: DirichletCharacter) -> float:
+def _log_weighted_sieve(a: CoefficientSequence, Q: float) -> float:
+    """sum over 1 < q <= Q of log(Q/q) sum* over chi of |S_chi|^2, the full sieve."""
+    return sieve_lhs(a, lambda q: math.log(Q / q), range(2, math.floor(Q) + 1))
+
+
+def _log_weighted_lhs(a: CoefficientSequence, Q: float, chi_D: DirichletCharacter,
+                      full: float | None = None) -> float:
     """sum over 1 < q <= Q of log(Q/q) sum* over chi != chi_D of |S_chi|^2.
 
-    The full sieve less the term log(Q/D) |S_chi_D|^2: every caller has
-    D <= Q, so chi_D, primitive mod D, has its term in the sieve.
+    The full sieve (evaluated here unless given) less the term
+    log(Q/D) |S_chi_D|^2: every caller has D <= Q, so chi_D, primitive
+    mod D, has its term in the sieve.
     """
-    full = sieve_lhs(a, lambda q: math.log(Q / q), range(2, math.floor(Q) + 1))
+    if full is None:
+        full = _log_weighted_sieve(a, Q)
     return full - math.log(Q / chi_D.modulus) * abs(char_sum(chi_D, a)) ** 2
 
 

@@ -241,6 +241,25 @@ def test_nothing_to_check_is_usage_error(capsys, argv):
     assert captured.err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--ineq", "bd", "--N"],
+    ["verify", "--ineq", "bd", "--M"],
+    ["verify", "--ineq", "bd", "--Q"],
+    ["constants", "--cutoff"],
+    ["constants", "--T"],
+    ["scan", "bt", "--M"],
+    ["scan", "lemma21", "--cutoff"],
+])
+def test_non_finite_integer_option_is_usage_error(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:-1] + [f"{argv[-1]}={value}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and "not a finite number" in captured.err
+
+
 def test_prop32_default_truncation_covers_large_conductors(capsys):
     """L1_chiD's default truncation meets T >= D^2 for D = 1009 > 10^3."""
     lo, hi = exceptional.prop32_window(1009, 0.9)
@@ -288,13 +307,13 @@ _SCAN = st.tuples(
     _option("N", st.one_of(_comma_list, st.sampled_from(["100", "3000", "1e4"]))),
     _option("M", _ints(0, 5000)), _option("q", _comma_list),
     _option("x", _comma_list, optional=False),
-    _option("cutoff", st.sampled_from(["-1", "10", "1e3"]), optional=False),
+    _option("cutoff", st.sampled_from(["-1", "10", "1e3", "inf"]), optional=False),
     _option("D", _comma_list), _option("eps", st.sampled_from(["0", "0.6", "0.9", "1", ","])),
     _option("qmax", _ints(0, 6)), st.sampled_from([[], ["--f=bump"]]))
 _CONSTANTS = st.tuples(
     st.just(["constants"]),
-    _option("cutoff", st.sampled_from(["0", "1e3", "5e3"]), optional=False),
-    _option("T", st.sampled_from(["0", "15", "1e4"]), optional=False),
+    _option("cutoff", st.sampled_from(["0", "1e3", "5e3", "inf"]), optional=False),
+    _option("T", st.sampled_from(["0", "15", "1e4", "inf", "1e30"]), optional=False),
     _option("s", st.sampled_from(["0.5", "1", "2"])))
 
 
@@ -304,7 +323,10 @@ _CONSTANTS = st.tuples(
 def test_random_argv_never_raises(fmt, parts):
     argv = fmt + [arg for part in parts for arg in part]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the option
+            code = exc.code
     assert code in (0, 1, 2, 3), argv
 
 

@@ -5,10 +5,10 @@ import pytest
 
 from largesieve import cli
 from largesieve import exceptional as ex
-from largesieve.arith import factorize, mobius, von_mangoldt
+from largesieve.arith import SIEVE_LIMIT_BUDGET, factorize, mobius, von_mangoldt
 from largesieve.characters import (character_group, chi4, is_primitive,
                                    real_primitive_characters)
-from largesieve.errors import DomainError
+from largesieve.errors import DomainError, ResourceLimitError
 from largesieve.lsi import CoefficientSequence, primitive_char_sums, random_sequence
 
 
@@ -111,6 +111,17 @@ def test_L1_stability_and_tail():
     assert L2.tail_bound == pytest.approx(L1.tail_bound / 2)
     with pytest.raises(DomainError):
         ex.L1_chiD(c5, 20)  # below D^2
+
+
+def test_L1_truncation_over_budget_is_refused(capsys):
+    with pytest.raises(ResourceLimitError):
+        ex.L1_chiD(chi4(), SIEVE_LIMIT_BUDGET + 1)
+    with pytest.raises(ResourceLimitError):
+        ex.L1_chiD(real_primitive_characters(10**4 + 7)[0])  # default T = D^2 > 10^8
+    assert cli.main(["constants", "--cutoff", "1e3", "--T", "1e30"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource guard: ")
 
 
 def test_eq37():
@@ -229,7 +240,18 @@ def test_scan_exceptional_evaluates_each_setup_once(monkeypatch, capsys):
         monkeypatch.setattr(ex, name, counted(name))
     assert cli.main(["scan", "exceptional", "--D", "5,8", "--N", "1e4"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 6
-    assert calls == {"sieve_lhs": 3, "L1_chiD": 3}
+    assert calls == {"sieve_lhs": 1, "L1_chiD": 3}
+
+
+def test_make_setups_agrees_with_one_setup_at_a_time():
+    f = ex.indicator_function()
+    pairs = [(D, idx) for D in (5, 8) for idx in range(len(real_primitive_characters(D)))]
+    chars = [real_primitive_characters(D)[idx] for D, idx in pairs]
+    Ns = [10**4, 2 * 10**4]
+    assert ex.make_setups(chars, Ns, f) == [ex.make_setup(D, N, f, char_index=idx)
+                                            for D, idx in pairs for N in Ns]
+    with pytest.raises(DomainError):
+        ex.make_setups(chars, [10**4, 10**3])  # D = 8 > sqrt(N)/log N at N = 10^3
 
 
 def test_prop32_guard_paths():

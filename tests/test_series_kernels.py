@@ -4,13 +4,15 @@ nu_dfs and L1_chiD promise the same floats as the loops in oracles.py (the
 same additions in the same order), so every comparison is exact.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from largesieve import _backend, asymptotics
 from largesieve import exceptional as ex
 from largesieve.arith import FactoredInt, factorize, sieve_primes
-from largesieve.characters import real_primitive_characters
+from largesieve.characters import chi4, real_primitive_characters
 from oracles import L1_chiD_chunks, nu_dfs_recursive
 
 
@@ -77,7 +79,34 @@ def test_S_q_excludes_primes_of_a_modulus_beyond_int64():
 def test_L1_chiD_matches_chunk_loop(D):
     for chi in real_primitive_characters(D):
         table = chi.values().real
-        for T in (D * D, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 7):
+        for T in (D * D, 2**14 - 1, 2**14, 2**14 + 1, 2**20 - 1, 2**20, 2**20 + 1,
+                  2**20 + 5, 2**20 + 129, 3 * 2**20 + 7):
+            if T < D * D:
+                continue  # below the T >= D^2 guard
             L = ex.L1_chiD(chi, T)
             assert L.value == L1_chiD_chunks(table, T)
             assert L.truncation == T
+
+
+@pytest.mark.parametrize("leaf", [128, 1000, 2**16])
+def test_L1_chiD_across_leaf_sizes(monkeypatch, leaf):
+    # np.sum splits only runs of more than 128 terms, so any leaf of at least
+    # 128 terms gives the same bits
+    monkeypatch.setattr(ex, "_LEAF", leaf)
+    for chi in real_primitive_characters(5) + real_primitive_characters(8):
+        table = chi.values().real
+        for T in (leaf - 1, leaf, leaf + 1, 5 * leaf + 3, 2**20 + 129):
+            if T >= chi.modulus ** 2:
+                assert ex.L1_chiD(chi, T).value == L1_chiD_chunks(table, T)
+
+
+def test_L1_chiD_memory_is_independent_of_T():
+    # the leaves need O(2^14 + D) memory, well under one 2^20-float chunk (8 MB)
+    chi = chi4()
+    tracemalloc.start()
+    try:
+        ex.L1_chiD(chi, 3 * 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
