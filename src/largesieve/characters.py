@@ -11,6 +11,7 @@ classify without any floating-point ambiguity.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
@@ -189,6 +190,33 @@ class CharacterGroup:
 @lru_cache(maxsize=None)
 def group(modulus: int) -> CharacterGroup:
     return CharacterGroup(modulus)
+
+
+class ProductCharacters(Sequence):
+    """group(q).product_characters of per-factor lists, built on first read.
+
+    factors[j] is (m_j, rows) for the j-th prime power m_j of q, in
+    factorize order, and lists group(m_j).characters()[k] for k in rows.
+    len() is the product of the row counts and builds nothing.
+    """
+
+    def __init__(self, modulus: int, factors):
+        self.modulus = modulus
+        self._factors = factors
+        self._len = math.prod(len(rows) for _, rows in factors)
+        self._chars = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if self._chars is None:
+            lists = []
+            for m, rows in self._factors:
+                chars = group(m).characters()
+                lists.append([chars[k] for k in rows])
+            self._chars = group(self.modulus).product_characters(lists)
+        return self._chars[i]
 
 
 class DirichletCharacter:

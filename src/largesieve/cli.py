@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from largesieve import asymptotics, exceptional, lsi
@@ -295,14 +296,28 @@ def scan_prop32(args) -> list[dict]:
 # ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a word such as -1e3 or -inf as a value.
+
+    argparse takes a word that starts with "-" for an option flag unless its
+    negative-number pattern matches it.  That pattern misses -inf and -nan,
+    and before Python 3.13 also -1e3, so "--M -1e3" would fail with
+    "expected one argument" instead of reaching the check that M >= 0.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="largesieve",
         description="Verify large sieve inequalities and related asymptotics.")
     parser.add_argument("--format", choices=["csv", "json"],
                         default=os.environ.get("LARGESIEVE_FORMAT", "csv"))
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     v = sub.add_parser("verify", help="run one inequality over a trial grid")
     v.add_argument("--ineq", required=True, choices=INEQUALITIES)

@@ -22,7 +22,8 @@ import numpy as np
 
 from largesieve import arith, expsums
 from largesieve.arith import euler_phi, factorize, prime_table
-from largesieve.characters import DirichletCharacter, group, is_primitive
+from largesieve.characters import (DirichletCharacter, ProductCharacters, group,
+                                   is_primitive)
 from largesieve.errors import DomainError, SupportError
 
 REL_TOL = 1e-9
@@ -304,9 +305,12 @@ def primitive_char_sums(a: CoefficientSequence, q: int, b: np.ndarray | None = N
     An odd m_j has a cyclic unit group with generator g, and its character
     of exponent k sends g^t to e(kt/phi(m_j)).  So its sums are a discrete
     Fourier transform of the axis read along the walk g^0, g^1, ..., taken
-    at the rows k of the primitive characters: O(m_j log m_j) work, and no
-    value table.  The 2-adic m_j (4 or 2^e) is contracted with its
-    primitive value matrix.
+    at the rows k whose conductor, by the component's conductor formula, is
+    m_j: O(m_j log m_j) work, and no character object or value table.  The
+    2-adic m_j (4 or 2^e) is contracted with the value matrix of its
+    primitive characters.  Only group(m_j) is built, never group(q): the
+    characters are returned as a ProductCharacters, whose length is known
+    at once and whose members are built when first read.
     """
     b = residue_sums(a, q) if b is None else b
     powers = [p**e for p, e in factorize(q).factors]
@@ -318,18 +322,21 @@ def primitive_char_sums(a: CoefficientSequence, q: int, b: np.ndarray | None = N
     factors = [None] * len(powers)
     after = 1
     for j in reversed(range(len(powers))):
-        local = group(powers[j])
-        factors[j] = [chi for chi in local.characters() if is_primitive(chi)]
-        axis = sums.reshape(math.prod(powers[:j]), powers[j], after)
-        if powers[j] % 2:
+        m = powers[j]
+        local = group(m)
+        axis = sums.reshape(math.prod(powers[:j]), m, after)
+        if m % 2:
             (component,) = local.components
+            rows = np.flatnonzero(component.conductors(np.arange(component.order)) == m)
             # norm="forward" leaves the inverse transform, sum x_t e(+kt/n), unscaled
-            sums = np.fft.ifft(axis[:, component.walk, :], axis=1, norm="forward")
-            sums = sums[:, [chi.exponents[0] for chi in factors[j]], :]
+            sums = np.fft.ifft(axis[:, component.walk, :], axis=1, norm="forward")[:, rows, :]
         else:
-            sums = np.matmul(local.value_matrix(factors[j]), axis)
-        after *= len(factors[j])
-    return group(q).product_characters(factors), sums.reshape(-1)
+            chars = local.characters()
+            rows = [k for k, chi in enumerate(chars) if is_primitive(chi)]
+            sums = np.matmul(local.value_matrix([chars[k] for k in rows]), axis)
+        factors[j] = (m, rows)
+        after *= len(rows)
+    return ProductCharacters(q, factors), sums.reshape(-1)
 
 
 def primitive_energy(a: CoefficientSequence, q: int, b: np.ndarray) -> float:
@@ -414,7 +421,7 @@ def lsi_thm12(a: CoefficientSequence, moduli, excluded_primes) -> InequalityRepo
     SupportRestriction.prime_free(P).validate(a, "thm12")
     energy = {}
     for q, b in residue_folds(a, moduli):
-        b = b * group(q).coprime_mask
+        b = b * (np.gcd(np.arange(q), q) == 1)
         total = 0.0
         for d in arith.squarefree_divisors(q):
             f = q // d

@@ -11,9 +11,11 @@ arguments (a, q); it wraps CharacterGroup.characters, CharacterGroup.value_matri
 and every module binding of is_primitive.  run.py's traced mode fails a
 workload (bd, mvs, Brun-Titchmarsh) that makes no call into any one of these,
 so a refactor that stops calling one fails here first.  primitive_char_sums
-transforms each odd prime-power factor by FFT, so its value_matrix calls come
-from the 2-adic factor (4 or 2^e) alone; each of these workloads has moduli
-divisible by 4.
+transforms each odd prime-power factor by FFT and picks its primitive rows by
+the conductor formula, with no character object, and builds no group of a
+composite modulus.  So its characters(), is_primitive and value_matrix calls
+all come from the 2-adic factor (4 or 2^e) alone; each of these workloads has
+moduli divisible by 4.
 
 On every residue_sums call the tracer also reads a.N and
 np.count_nonzero(a.values) of the coefficient sequence, for its entries and

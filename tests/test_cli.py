@@ -140,7 +140,7 @@ def test_scan_prop32_tested_row_sets_the_exit_code(capsys, monkeypatch, sum_over
 
         def with_large_sum(a, q):
             chars, sums = scan(a, q)
-            return chars + [chi], list(sums) + [sum_over_bound * 3 * 0.8 * a.N]
+            return list(chars) + [chi], list(sums) + [sum_over_bound * 3 * 0.8 * a.N]
 
         monkeypatch.setattr(exceptional, "primitive_char_sums", with_large_sum)
     code, out = run_cli(capsys, "scan", "prop32", "--D", "5", "--eps", "0.8")
@@ -258,6 +258,36 @@ def test_non_finite_integer_option_is_usage_error(capsys, argv, value):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err and "not a finite number" in captured.err
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (["verify", "--ineq", "mvs", "--M", "-1e3"], "usage error: M must be >= 0"),
+    (["verify", "--ineq", "bd", "--N", "-2.5E1"], "usage error: N must be >= 1"),
+    (["scan", "bt", "--M", "-1e3"], "usage error: requires M > sqrt(N)"),
+])
+def test_negative_float_as_its_own_word_reaches_validation(capsys, argv, fault):
+    """argparse took -1e3 for an option flag ("expected one argument")."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(fault)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "bt", "--M", "-inf"],
+    ["verify", "--ineq", "mvs", "--M", "-inf"],
+    ["constants", "--T", "-NaN"],
+])
+def test_negative_non_finite_as_its_own_word_is_usage_error(capsys, argv):
+    """argparse took -inf for an option flag ("expected one argument")."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"argument {argv[-2]}: not a finite number" in captured.err
 
 
 def test_prop32_default_truncation_covers_large_conductors(capsys):

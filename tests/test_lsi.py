@@ -404,6 +404,66 @@ def test_only_the_two_adic_factor_uses_a_value_table(monkeypatch):
     assert moduli and all(m & (m - 1) == 0 for m in moduli), sorted(set(moduli))
 
 
+def test_odd_prime_power_rows_follow_the_conductor_formula():
+    """The FFT rows, the is_primitive filter and the rule that the character
+    of exponent k mod p^e is primitive iff p does not divide k (e >= 2), or
+    k != 0 (e = 1).  Each group is built outside the group() memo."""
+    for m in range(3, 5001, 2):
+        factors = factorize(m).factors
+        if len(factors) != 1:
+            continue
+        ((p, e),) = factors
+        g = CharacterGroup(m)
+        (component,) = g.components
+        k = np.arange(component.order)
+        rows = np.flatnonzero(component.conductors(k) == m).tolist()
+        assert rows == [chi.exponents[0] for chi in g.characters() if is_primitive(chi)], m
+        assert rows == np.flatnonzero(k % p != 0 if e > 1 else k != 0).tolist(), m
+
+
+def test_lazy_labels_equal_the_eager_product():
+    rng = np.random.default_rng(32)
+    for q in range(1, 301):
+        chars, sums = lsi.primitive_char_sums(None, q, rng.standard_normal(q))
+        assert len(chars) == sums.size, q
+        powers = [p**e for p, e in factorize(q).factors]
+        eager = group(q).product_characters(
+            [[chi for chi in group(m).characters() if is_primitive(chi)] for m in powers])
+        assert [chi.exponents for chi in chars] == [chi.exponents for chi in eager], q
+        assert list(chars) == eager and chars[-1:] == eager[-1:], q
+
+
+def spy_on_group(monkeypatch, *modules):
+    """Record the modulus of every group() call made through each module."""
+    seen = []
+    for module in modules:
+        def spy(q, original=module.group):
+            seen.append(q)
+            return original(q)
+        monkeypatch.setattr(module, "group", spy)
+    return seen
+
+
+def is_prime_power(q):
+    return len(factorize(q).factors) == 1
+
+
+def test_label_length_builds_no_composite_group(monkeypatch):
+    from largesieve import characters
+    q = 4 * 9 * 5 * 7
+    seen = spy_on_group(monkeypatch, lsi, characters)
+    chars, sums = lsi.primitive_char_sums(None, q, random_sequence(q, seed=4).values)
+    assert len(chars) == sums.size == 1 * 4 * 3 * 5
+    assert seen and all(is_prime_power(m) for m in seen), seen
+    assert chars[0].group is group(q) and seen[-1] == q
+
+
+def test_left_sides_build_only_prime_power_groups(monkeypatch):
+    seen = spy_on_group(monkeypatch, lsi)
+    lsi_mvs(random_sequence(3000), 120)
+    assert seen and all(is_prime_power(m) for m in seen), sorted(set(seen))
+
+
 def test_primitive_energy_on_primes_matches_the_direct_path():
     # the primes in (M, M+N] are nearly equidistributed mod q, so each S(chi)
     # is a small remainder of sums of size about N / (phi(q) log N)
