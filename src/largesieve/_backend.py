@@ -1,4 +1,4 @@
-"""The numpy kernels: prime sieve, squarefree-product sums, r2 table.
+"""The numpy kernels: odd-only window prime sieve, squarefree-product sums, r2 table.
 
 nu_dfs adds its floats in the depth-first preorder of the recursive
 enumeration without recursing: it writes every weight at its product's
@@ -13,14 +13,22 @@ import numpy as np
 BACKEND = "python"
 
 
-def prime_mask(limit: int) -> np.ndarray:
-    """uint8 array of length limit+1 with 1 at primes."""
-    mask = np.zeros(limit + 1, dtype=np.uint8)
-    if limit >= 2:
-        mask[2:] = 1
-        for p in range(2, math.isqrt(limit) + 1):
-            if mask[p]:
-                mask[p * p :: p] = 0
+def prime_mask(limit: int, lo: int = 0) -> np.ndarray:
+    """Boolean array over the odd n in (lo, limit], True at the primes.
+
+    Entry i stands for n = 2 (k + i) + 1, where k = (lo + 1) // 2 is the
+    number of odd n <= lo; 2 is even and has no entry.  Each odd prime
+    p <= sqrt(limit), read from prime_mask(isqrt(limit)), strikes its odd
+    multiples from max(p^2, lo + 1) on.  An odd multiple of p has index
+    p // 2 (mod p) among the odd numbers, so one stride of p covers them.
+    """
+    k = (lo + 1) // 2
+    mask = np.ones(max((limit + 1) // 2 - k, 0), dtype=bool)
+    if k == 0 and mask.size:
+        mask[0] = False  # n = 1
+    if limit >= 9:
+        for p in (2 * np.flatnonzero(prime_mask(math.isqrt(limit))) + 1).tolist():
+            mask[max(p * p // 2, k + (p // 2 - k) % p) - k :: p] = False
     return mask
 
 

@@ -1,13 +1,13 @@
 """Prime sieving, factorization, and the arithmetic functions used throughout.
 
-Everything here is a pure function of its inputs; PrimeTable instances are
-immutable after construction and safe to share between threads.
+Everything here is a pure function of its inputs, except prime_table, which
+keeps one shared PrimeTable and replaces it by a larger one on demand.
+PrimeTable instances are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,10 +22,11 @@ SIEVE_LIMIT_BUDGET = 10**8
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes <= limit, ascending."""
+    """All primes in (lo, limit], ascending."""
 
     limit: int
     primes: np.ndarray  # int64, ascending
+    lo: int = 0
 
     def __post_init__(self):
         self.primes.setflags(write=False)
@@ -34,7 +35,7 @@ class PrimeTable:
         return int(self.primes.shape[0])
 
     def upto(self, x: int | float) -> np.ndarray:
-        """Primes <= x (requires x <= limit)."""
+        """Primes in (lo, x] (requires x <= limit)."""
         if x > self.limit:
             raise ValueError(f"table only covers primes <= {self.limit}")
         return self.primes[: int(np.searchsorted(self.primes, math.floor(x), side="right"))]
@@ -74,30 +75,49 @@ class FactoredInt:
         return divs
 
 
-_table_lock = threading.Lock()
 _table: PrimeTable | None = None
 
 
-def sieve_primes(limit: int) -> PrimeTable:
-    """Every prime <= limit, by sieve of Eratosthenes."""
+def sieve_primes(limit: int, lo: int = 0) -> PrimeTable:
+    """Every prime in (lo, limit], by the odd-only sieve of Eratosthenes.
+
+    The primes are the indices np.flatnonzero finds in _backend.prime_mask,
+    mapped in place to the odd n they stand for.  For lo < 2 the mask starts
+    at n = 1, and the slot of 1 stands for 2.
+    """
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if limit > SIEVE_LIMIT_BUDGET:
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds budget {SIEVE_LIMIT_BUDGET}")
-    mask = _backend.prime_mask(int(limit))
-    return PrimeTable(limit=int(limit), primes=np.flatnonzero(mask).astype(np.int64, copy=False))
+    if not 0 <= lo <= limit:
+        raise ValueError("lo must be in [0, limit]")
+    start = int(lo) if lo >= 2 else 0
+    mask = _backend.prime_mask(int(limit), start)
+    if not start:
+        mask[0] = True
+    primes = np.flatnonzero(mask)
+    primes += (start + 1) // 2
+    primes *= 2
+    primes += 1
+    if not start:
+        primes[0] = 2
+    return PrimeTable(limit=int(limit), primes=primes, lo=int(lo))
 
 
 def prime_table(limit: int) -> PrimeTable:
-    """Shared prime table, grown geometrically on demand."""
+    """Shared table of the primes <= limit.
+
+    The first call sieves exactly max(limit, 2^16); a later call past the
+    table's limit sieves at least twice that limit, so a run of growing
+    requests sieves O(largest request) in all.
+    """
     global _table
     limit = max(int(limit), 2)
-    with _table_lock:
-        if _table is None or _table.limit < limit:
-            grown = max(limit, 1 << max(limit - 1, 1).bit_length(), 2**16)
-            _table = sieve_primes(max(limit, min(grown, SIEVE_LIMIT_BUDGET)))
-        return _table
+    if _table is None or _table.limit < limit:
+        size = 2**16 if _table is None else 2 * _table.limit
+        _table = sieve_primes(max(limit, min(size, SIEVE_LIMIT_BUDGET)))
+    return _table
 
 
 def factorize(n: int | FactoredInt) -> FactoredInt:

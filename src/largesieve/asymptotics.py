@@ -178,12 +178,14 @@ def z_series_check(s: float, cutoff: int) -> ZSeriesReport:
         raise DomainError("series diverges for s <= 1")
     if cutoff < 10**3:
         raise DomainError("cutoff must be >= 10^3")
-    ps = _primes_3mod4(cutoff).astype(np.float64)
-    _, _, _, direct = _backend.nu_dfs(_primes_3mod4(cutoff), float(cutoff), s)
-    euler = float(np.prod(1.0 + 2.0 * ps**-s))
+    primes = _primes_3mod4(cutoff)
+    _, _, _, direct = _backend.nu_dfs(primes, float(cutoff), s)
+    ps = primes.astype(np.float64)
+    ps_s = ps**-s
+    euler = float(np.prod(1.0 + 2.0 * ps_s))
     zeta = _zeta_partial(s, cutoff)
     L4 = _L_chi4_partial(s, cutoff)
-    corr = float(np.prod((1.0 + ps**-s - 2.0 * ps ** (-2 * s)) / (1.0 + ps**-s)))
+    corr = float(np.prod((1.0 + ps_s - 2.0 * ps ** (-2 * s)) / (1.0 + ps_s)))
     two = 1.0 - 2.0**-s
     two_paper = 1.0 - 4.0**-s
     factored = zeta / L4 * two * corr

@@ -645,8 +645,8 @@ def lsi_thm21(a: CoefficientSequence, Q: int,
 
 def prime_indicator(M: int, N: int) -> CoefficientSequence:
     """a_p = 1 at primes in (M, M+N], zero elsewhere, stored by index."""
-    ps = arith.sieve_primes(max(M + N, 2)).primes
-    ps = ps[np.searchsorted(ps, M, side="right"):np.searchsorted(ps, M + N, side="right")]
+    ps = arith.sieve_primes(max(M + N, 2), M).primes
+    ps = ps[:np.searchsorted(ps, M + N, side="right")]  # M + N < 2 holds no prime
     return CoefficientSequence(M, np.ones(ps.size), N=N, index=ps)
 
 

@@ -61,10 +61,58 @@ def test_sieve_primes_keeps_one_read_only_int64_array():
     assert peak <= 1.1 * (mask_bytes + table.primes.nbytes)
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (0, 2), (0, 3), (1, 2), (1, 10), (2, 2), (2, 3), (3, 3), (3, 4), (0, 1000),
+    (1, 1000), (2, 1000), (3, 1000),
+    (500, 500), (9, 9), (8, 9), (7, 9),  # lo = hi
+    (100, 121), (120, 169), (9000, 97**2), (97**2 - 1, 97**2),  # hi a prime square
+    (20, 1000), (31, 1000), (25, 961),  # the window contains sqrt(hi)
+])
+def test_sieve_window_edges(lo, hi):
+    table = sieve_primes(hi, lo)
+    assert table.primes.tolist() == [n for n in range(lo + 1, hi + 1) if is_prime_td(n)]
+    assert (table.lo, table.limit) == (lo, hi)
+    assert table.primes.dtype == np.int64 and not table.primes.flags.writeable
+
+
+def test_sieve_random_windows_against_trial_division():
+    is_prime = np.array([is_prime_td(n) for n in range(10**5)])
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        hi = int(rng.integers(2, 10**5))
+        lo = int(rng.integers(0, hi + 1))
+        want = np.flatnonzero(is_prime[lo + 1:hi + 1]) + lo + 1
+        assert np.array_equal(sieve_primes(hi, lo).primes, want), (lo, hi)
+
+
+def test_prime_mask_holds_the_odd_n_of_its_window():
+    assert not _backend.prime_mask(1).any() and not _backend.prime_mask(0).size
+    mask = _backend.prime_mask(120, 100)  # 101, 103, ..., 119
+    assert mask.tolist() == [is_prime_td(n) for n in range(101, 121, 2)]
+
+
+def test_sieve_window_rejects_lo_outside_zero_to_limit():
+    for lo in (-1, 11):
+        with pytest.raises(ValueError):
+            sieve_primes(10, lo)
+
+
+def test_prime_table_builds_the_first_request_then_at_least_doubles(monkeypatch):
+    monkeypatch.setattr(arith, "_table", None)
+    assert arith.prime_table(3_000_000).limit == 3_000_000
+    assert arith.prime_table(3_000_001).limit == 6_000_000
+    assert arith.prime_table(100).limit == 6_000_000
+    monkeypatch.setattr(arith, "_table", None)
+    assert arith.prime_table(100).limit == 2**16
+    assert arith.prime_table(2**16 + 1).limit == 2**17
+
+
 def test_sieve_budget_guard(monkeypatch):
     monkeypatch.setattr(arith, "SIEVE_LIMIT_BUDGET", 1000)
     with pytest.raises(ResourceLimitError):
         sieve_primes(10**6)
+    with pytest.raises(ResourceLimitError):
+        sieve_primes(10**6, 10**6 - 10)  # the budget holds for a window, too
 
 
 def test_factorize():

@@ -157,6 +157,12 @@ def test_resource_guard_exit_code(capsys):
     assert code == 3
 
 
+def test_a_window_past_the_sieve_budget_exits_3(capsys):
+    # only N = 100 odd n are sieved, but M + N = 10^8 + 1 is over the budget
+    code, _ = run_cli(capsys, "scan", "bt", "--N", "1e2", "--M", "99999901")
+    assert code == 3
+
+
 def test_format_env_var(capsys, monkeypatch):
     monkeypatch.setenv("LARGESIEVE_FORMAT", "json")
     code, out = run_cli(capsys, "verify", "--ineq", "bd", "--N", "50",

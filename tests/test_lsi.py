@@ -519,6 +519,27 @@ def test_prime_indicator_stores_only_its_primes(M, N):
     assert all(M < n <= M + N and prime_count(n - 1, n) == 1 for n in a.index)
 
 
+def test_prime_indicator_matches_the_full_table_on_random_windows():
+    ps = prime_table(3 * 10**5).upto(3 * 10**5)
+    rng = np.random.default_rng(15)
+    for M, N in zip(rng.integers(0, 2 * 10**5, 100).tolist(),
+                    rng.integers(0, 10**5, 100).tolist()):
+        want = ps[np.searchsorted(ps, M, side="right"):np.searchsorted(ps, M + N, side="right")]
+        assert np.array_equal(lsi.prime_indicator(M, N).index, want), (M, N)
+
+
+def test_prime_indicator_sieves_only_its_window():
+    # the full sieve of [2, M + N] held a 10 MB mask and 5.3 MB of primes
+    tracemalloc.start()
+    try:
+        a = lsi.prime_indicator(10**7, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.index.size == 6_241  # pi(10^7 + 10^5) - pi(10^7)
+    assert peak < 1 << 20
+
+
 def index_storage(a):
     """The coefficients of a dense sequence, held by index."""
     i = np.flatnonzero(a.values)
