@@ -10,6 +10,7 @@ three ways.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,26 +33,34 @@ class EulerProductValue:
     tail_bound: float
 
 
-def _primes_3mod4(x: float, excluded: tuple[int, ...] = ()) -> np.ndarray:
-    """Primes p = 3 (mod 4) up to x, without those in excluded."""
+def _primes_3mod4(x: float) -> np.ndarray:
+    """Primes p = 3 (mod 4) up to x."""
     if x > SIEVE_LIMIT_BUDGET:
         raise ResourceLimitError(f"enumeration bound {x} exceeds budget {SIEVE_LIMIT_BUDGET}")
     ps = prime_table(max(int(x), 2)).upto(x)
-    ps = ps[ps % 4 == 3]
-    # an excluded prime above x cannot match, and need not fit in int64
-    return ps[~np.isin(ps, [p for p in excluded if p <= x])]
+    return ps[ps % 4 == 3]
 
 
-def _nu_sums(q, x: float):
-    """nu_dfs's (count, sum_tau, sum_inv, sum_tau_inv) over n <= x with (n, q) = 1."""
+def _nu_sums(qs, x: float):
+    """nu_dfs's (count, sum_tau, sum_inv, sum_tau_inv) over n <= x with (n, q) = 1.
+
+    One 4-tuple per modulus in qs, in order, all read off one walk.
+    """
     if x < 1:
         raise DomainError("x must be >= 1")
-    return _backend.nu_dfs(_primes_3mod4(x, factorize(q).prime_factors), math.floor(x), 1.0)
+    excluded = [factorize(q).prime_factors for q in qs]
+    return _backend.nu_dfs_excluding(_primes_3mod4(x), math.floor(x), excluded, 1.0)
 
 
-def S_q(q, x: float) -> float:
-    """sum of nu(n) tau(n) / n over n <= x with (n, q) = 1."""
-    return _nu_sums(q, x)[3]
+def S_q(q, x: float):
+    """sum of nu(n) tau(n) / n over n <= x with (n, q) = 1.
+
+    q may also be a sequence of moduli: then the sums form a list, one per
+    modulus in order, read off one enumeration of the products up to x.
+    """
+    if isinstance(q, Iterable):
+        return [sums[3] for sums in _nu_sums(q, x)]
+    return _nu_sums([q], x)[0][3]
 
 
 def constant_c(cutoff: int) -> EulerProductValue:
@@ -114,21 +123,25 @@ def lemma21_error(q, x: float) -> ErrorBounds:
 def lemma21_scan(qs, xs, cutoff: int = CONSTANT_C_CUTOFF):
     """Deviation |S_q(x) - main| / structured-error over a grid.
 
-    Returns (rows, fitted_C): one dict per grid point and the single fitted
-    constant max deviation/error across the grid.
+    Returns (rows, fitted_C): one dict per grid point, q outer and x inner,
+    and the single fitted constant max deviation/error across the grid.
+    Each q is factorized once, and each x enumerates its products once for
+    every q.
     """
+    fs = [factorize(q) for q in qs]
+    xs = [float(x) for x in xs]
+    sums = {x: S_q(fs, x) for x in xs if fs}
     rows = []
     fitted = 0.0
-    for q in qs:
-        err = lemma21_error(q, max(float(x) for x in xs)).structured
+    for i, f in enumerate(fs):
+        err = lemma21_error(f, max(xs)).structured
         for x in xs:
-            x = float(x)
-            s = S_q(q, x)
-            main = lemma21_main_term(q, x, cutoff)
+            s = sums[x][i]
+            main = lemma21_main_term(f, x, cutoff)
             dev = abs(s - main)
             ratio = dev / err
             fitted = max(fitted, ratio)
-            rows.append({"q": int(factorize(q).n), "x": x, "S_q": s, "main_term": main,
+            rows.append({"q": int(f.n), "x": x, "S_q": s, "main_term": main,
                          "deviation": dev, "structured_error": err, "ratio": ratio})
     return rows, fitted
 
@@ -137,17 +150,19 @@ def lemma21_scan(qs, xs, cutoff: int = CONSTANT_C_CUTOFF):
 # Dirichlet-series factorization checks
 
 
-def _zeta_partial(s: float, cutoff: int) -> float:
-    n = np.arange(1, cutoff + 1, dtype=np.float64)
-    return float(np.sum(n**-s))
+def _zeta_and_L_chi4(s: float, cutoff: int) -> tuple[float, float]:
+    """Partial sums of zeta(s) and L(s, chi_4) over n <= cutoff, from one power table.
 
-
-def _L_chi4_partial(s: float, cutoff: int) -> float:
-    n = np.arange(1, cutoff + 1, dtype=np.float64)
-    chi = np.zeros(cutoff)
-    chi[0::4] = 1.0   # n = 1 (mod 4) at indices 0, 4, ...
-    chi[2::4] = -1.0  # n = 3 (mod 4)
-    return float(np.sum(chi * n**-s))
+    chi_4 is the n^-s table with its even entries zeroed and its n = 3 (mod 4)
+    entries negated, so both sums add the same floats as the separate
+    tables chi_4(n) * n^-s would.
+    """
+    w = np.arange(1, cutoff + 1, dtype=np.float64)
+    np.power(w, -s, out=w)
+    zeta = float(np.sum(w))
+    w[1::2] = 0.0
+    np.negative(w[2::4], out=w[2::4])  # n = 3 (mod 4) at indices 2, 6, ...
+    return zeta, float(np.sum(w))
 
 
 @dataclass
@@ -183,8 +198,7 @@ def z_series_check(s: float, cutoff: int) -> ZSeriesReport:
     ps = primes.astype(np.float64)
     ps_s = ps**-s
     euler = float(np.prod(1.0 + 2.0 * ps_s))
-    zeta = _zeta_partial(s, cutoff)
-    L4 = _L_chi4_partial(s, cutoff)
+    zeta, L4 = _zeta_and_L_chi4(s, cutoff)
     corr = float(np.prod((1.0 + ps_s - 2.0 * ps ** (-2 * s)) / (1.0 + ps_s)))
     two = 1.0 - 2.0**-s
     two_paper = 1.0 - 4.0**-s
@@ -200,45 +214,3 @@ def z_series_check(s: float, cutoff: int) -> ZSeriesReport:
                          max_discrepancy=max_disc, tolerance=10.0 * tail,
                          passed=max_disc <= 10.0 * tail,
                          two_factor=two, two_factor_paper=two_paper)
-
-
-@dataclass
-class ConvolutionReport:
-    q: int
-    x: float
-    lhs: float  # S_q(x)
-    rhs: float  # sum over a <= x of f(a)/a * S(x/a)
-    rel_discrepancy: float
-    passed: bool
-
-
-def convolution_identity_check(q, x: float, rel_tol: float = 1e-11) -> ConvolutionReport:
-    """Verify S_q(x) = sum over a of f(a)/a S(x/a) exactly (finite sum).
-
-    f is multiplicative, supported on integers composed of primes dividing
-    q3, with f(p^alpha) = (-2)^alpha.
-    """
-    if x < 1:
-        raise DomainError("x must be >= 1")
-    f = factorize(q)
-    lhs = S_q(f, x)
-    rad = q3_radical(f).prime_factors
-    terms = [(1, 1.0)]
-    stack = [(0, 1, 1.0)]
-    while stack:
-        start, a, fa = stack.pop()
-        for j in range(start, len(rad)):
-            p = rad[j]
-            m, fm = a, fa
-            while m * p <= x:
-                m *= p
-                fm *= -2.0
-                terms.append((m, fm))
-                stack.append((j + 1, m, fm))
-    rhs = 0.0
-    for a, fa in sorted(terms):
-        rhs += fa / a * S_q(1, x / a)
-    denom = max(abs(lhs), 1e-300)
-    rel = abs(lhs - rhs) / denom
-    return ConvolutionReport(q=f.n, x=x, lhs=lhs, rhs=rhs, rel_discrepancy=rel,
-                             passed=rel <= rel_tol)

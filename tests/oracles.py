@@ -1,11 +1,13 @@
 """Shared brute-force oracles used by both unit and acceptance tests."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from largesieve.arith import von_mangoldt
-from largesieve.asymptotics import _nu_sums
+from largesieve.arith import factorize, q3_radical, von_mangoldt
+from largesieve.asymptotics import S_q, _nu_sums
+from largesieve.errors import DomainError
 
 
 def vm_k_recurrence_tables(N, kmax):
@@ -77,9 +79,66 @@ def L1_chiD_chunks(table, T):
 
 def T_q(q, x: float) -> float:
     """sum of nu(n) / n over n <= x with (n, q) = 1."""
-    return _nu_sums(q, x)[2]
+    return _nu_sums([q], x)[0][2]
 
 
 def count_nu_tau(x: float) -> int:
     """Exact sum of nu(n) tau(n) over n <= x."""
-    return int(_nu_sums(1, x)[1])
+    return int(_nu_sums([1], x)[0][1])
+
+
+def zeta_partial(s: float, cutoff: int) -> float:
+    """sum of n^-s over n <= cutoff, one pairwise np.sum of its own power table."""
+    n = np.arange(1, cutoff + 1, dtype=np.float64)
+    return float(np.sum(n**-s))
+
+
+def L_chi4_partial(s: float, cutoff: int) -> float:
+    """sum of chi_4(n) n^-s over n <= cutoff, the character table times n^-s."""
+    n = np.arange(1, cutoff + 1, dtype=np.float64)
+    chi = np.zeros(cutoff)
+    chi[0::4] = 1.0   # n = 1 (mod 4) at indices 0, 4, ...
+    chi[2::4] = -1.0  # n = 3 (mod 4)
+    return float(np.sum(chi * n**-s))
+
+
+@dataclass
+class ConvolutionReport:
+    q: int
+    x: float
+    lhs: float  # S_q(x)
+    rhs: float  # sum over a <= x of f(a)/a * S(x/a)
+    rel_discrepancy: float
+    passed: bool
+
+
+def convolution_identity_check(q, x: float, rel_tol: float = 1e-11) -> ConvolutionReport:
+    """Verify S_q(x) = sum over a of f(a)/a S(x/a) exactly (finite sum).
+
+    f is multiplicative, supported on integers composed of primes dividing
+    q3, with f(p^alpha) = (-2)^alpha.
+    """
+    if x < 1:
+        raise DomainError("x must be >= 1")
+    f = factorize(q)
+    lhs = S_q(f, x)
+    rad = q3_radical(f).prime_factors
+    terms = [(1, 1.0)]
+    stack = [(0, 1, 1.0)]
+    while stack:
+        start, a, fa = stack.pop()
+        for j in range(start, len(rad)):
+            p = rad[j]
+            m, fm = a, fa
+            while m * p <= x:
+                m *= p
+                fm *= -2.0
+                terms.append((m, fm))
+                stack.append((j + 1, m, fm))
+    rhs = 0.0
+    for a, fa in sorted(terms):
+        rhs += fa / a * S_q(1, x / a)
+    denom = max(abs(lhs), 1e-300)
+    rel = abs(lhs - rhs) / denom
+    return ConvolutionReport(q=f.n, x=x, lhs=lhs, rhs=rhs, rel_discrepancy=rel,
+                             passed=rel <= rel_tol)

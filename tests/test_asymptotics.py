@@ -6,7 +6,7 @@ import pytest
 from largesieve import asymptotics as asy
 from largesieve.arith import divisor_count, factorize, nu, q3_radical
 from largesieve.errors import DomainError
-from oracles import T_q, count_nu_tau
+from oracles import T_q, convolution_identity_check, count_nu_tau
 
 
 def S_brute(q, x):
@@ -126,14 +126,24 @@ def test_z_series_check():
 
 
 def test_convolution_identity():
-    rep = asy.convolution_identity_check(1, 50)
+    rep = convolution_identity_check(1, 50)
     assert rep.lhs == rep.rhs  # f = delta_1
-    rep = asy.convolution_identity_check(3, 100)
+    rep = convolution_identity_check(3, 100)
     assert rep.rel_discrepancy <= 1e-12
-    rep = asy.convolution_identity_check(21, 10**4)
+    rep = convolution_identity_check(21, 10**4)
     assert rep.passed
-    rep = asy.convolution_identity_check(9, 500)  # q3 = 3, exponents matter
+    rep = convolution_identity_check(9, 500)  # q3 = 3, exponents matter
     assert rep.passed
+
+
+def test_convolution_identity_holds_for_the_sequence_form():
+    qs = [9, 21, 105]
+    for x in (500, 10**4):
+        sums = asy.S_q(qs, x)
+        for q, s in zip(qs, sums):
+            rep = convolution_identity_check(q, x)
+            assert s == rep.lhs
+            assert rep.passed
 
 
 def test_T_lower_bound_shape():

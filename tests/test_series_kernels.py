@@ -1,8 +1,11 @@
 """The vectorised series kernels against their loop oracles, output for output.
 
-nu_dfs and L1_chiD promise the same floats as the loops in oracles.py (the
-same additions in the same order), so every comparison is exact.
+nu_dfs, nu_dfs_excluding, the zeta and L(s, chi_4) partial sums and L1_chiD
+promise the same floats as the loops in oracles.py (the same additions in
+the same order), so every comparison is exact.
 """
+
+import math
 
 import tracemalloc
 
@@ -13,7 +16,7 @@ from largesieve import _backend, asymptotics
 from largesieve import exceptional as ex
 from largesieve.arith import FactoredInt, factorize, sieve_primes
 from largesieve.characters import chi4, real_primitive_characters
-from oracles import L1_chiD_chunks, nu_dfs_recursive
+from oracles import L_chi4_partial, L1_chiD_chunks, nu_dfs_recursive, zeta_partial
 
 
 def _primes(x, mod4=True, excluded=()):
@@ -52,8 +55,7 @@ def test_nu_dfs_below_three(x):
 @pytest.mark.parametrize("q", [21, 3 * 7 * 11 * 19, 1003 * 1019])
 def test_nu_dfs_with_the_primes_of_q_excluded(q):
     for x in (10**4, 10**5 + 0.5):
-        ps = asymptotics._primes_3mod4(x, factorize(q).prime_factors)
-        assert np.array_equal(ps, _primes(x, excluded=factorize(q).prime_factors))
+        ps = _primes(x, excluded=factorize(q).prime_factors)
         for s in (1.0, 1.5):
             _assert_same(ps, x, s)
         assert asymptotics.S_q(q, x) == nu_dfs_recursive(ps, float(int(x)), 1.0)[3]
@@ -73,6 +75,98 @@ def test_S_q_excludes_primes_of_a_modulus_beyond_int64():
     huge = FactoredInt(3**40 * 7**5 * (2**89 - 1), ((3, 40), (7, 5), (2**89 - 1, 1)))
     assert huge.n > 2**63
     assert asymptotics.S_q(huge, x) == asymptotics.S_q(21, x)
+
+
+def _assert_shared(qs, x):
+    """S_q over qs, from one walk, equals the recursion over each q's own primes."""
+    want = [nu_dfs_recursive(_primes(x, excluded=factorize(q).prime_factors),
+                             float(math.floor(x)), 1.0)[3] for q in qs]
+    assert asymptotics.S_q(qs, x) == want
+    assert all(type(v) is float for v in want)
+    for q, w in zip(qs, want):
+        assert asymptotics.S_q(q, x) == w
+
+
+def _assert_excluding(ps, x, excluded, s):
+    """nu_dfs_excluding equals the recursion over ps without each set."""
+    got = _backend.nu_dfs_excluding(ps, x, excluded, s)
+    want = [nu_dfs_recursive(ps[~np.isin(ps, [p for p in e if p <= x])], x, s)
+            for e in excluded]
+    assert got == want
+    assert all([type(v) for v in t] == [int, int, float, float] for t in got)
+
+
+@pytest.mark.parametrize("x", [10**3, 10**4 + 0.5, 10**5])
+def test_shared_walk_serves_duplicate_trivial_and_unrelated_moduli(x):
+    # q = 1 and q = 5 * 13 (no prime = 3 mod 4) exclude nothing and share a
+    # sum with each other; 21 appears twice and 3 * 7 * 5 hits the same primes
+    _assert_shared([21, 1, 3, 21, 5 * 13, 105, 7, 1, 3 * 7 * 11 * 19], x)
+
+
+def test_shared_walk_with_an_excluded_prime_above_x():
+    # 10007 and 10039 = 3 (mod 4) exceed x: 3 * 10007 and 3 share the sums of 3
+    x = 10**4
+    _assert_shared([3 * 10007, 10039, 3, 1, 7 * 10039], x)
+    ps = _primes(x)
+    _assert_excluding(ps, float(x), [(3, 10007), (10039,), (3,), ()], 1.5)
+
+
+def test_shared_walk_with_a_modulus_beyond_int64():
+    x = 10**4
+    huge = FactoredInt(3**40 * 7**5 * (2**89 - 1), ((3, 40), (7, 5), (2**89 - 1, 1)))
+    assert huge.n > 2**63
+    got = asymptotics.S_q([huge, 21, 1], x)
+    assert got == [asymptotics.S_q(21, x)] * 2 + [asymptotics.S_q(1, x)]
+    ps = _primes(x)
+    assert (_backend.nu_dfs_excluding(ps, float(x), [(3, 7, 2**89 - 1)], 1.0)
+            == [nu_dfs_recursive(_primes(x, excluded=(3, 7)), float(x), 1.0)])
+
+
+def test_shared_walk_beyond_one_mask_of_distinct_sets():
+    # 70 single primes and 30 pairs: 100 distinct sets, two groups of bits
+    x = 10**4
+    ps = _primes(x)
+    small = ps[:70].tolist()
+    excluded = [(p,) for p in small] + [(p, q) for p, q in zip(small[:30], small[1:31])]
+    assert len(set(excluded)) > _backend._MASK_BITS
+    _assert_excluding(ps, float(x), excluded + [()], 1.0)
+    _assert_shared([1] + small[:40] + [p * q for p, q in zip(small[:30], small[1:31])], x)
+
+
+@pytest.mark.parametrize("batch", [1, 5, 64])
+def test_shared_walk_across_batch_boundaries(monkeypatch, batch):
+    monkeypatch.setattr(_backend, "_BATCH_NODES", batch)
+    for x in (10**3, 10**4 + 0.5):
+        ps = _primes(x)
+        _assert_excluding(ps, float(x), [(3,), (7, 11), (), (3, 7, 11, 19), (19, 23)], 1.5)
+        _assert_shared([3, 77, 1, 3 * 7 * 11 * 19, 19 * 23], x)
+
+
+@pytest.mark.parametrize("x", [1, 1.5, 2, 2.999])
+def test_shared_walk_below_three(x):
+    _assert_shared([1, 3, 21, 5], x)
+    ps = np.array([3, 7, 11], dtype=np.int64)
+    for xx in (0.5, x):
+        _assert_excluding(ps, float(xx), [(3,), (), (7, 11)], 1.5)
+
+
+@pytest.mark.parametrize("s", [1.1, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("cutoff", [1000, 1001, 1002, 1003, 10**6])
+def test_zeta_and_L_chi4_match_separate_tables(s, cutoff):
+    zeta, L4 = asymptotics._zeta_and_L_chi4(s, cutoff)
+    assert zeta == zeta_partial(s, cutoff)
+    assert L4 == L_chi4_partial(s, cutoff)
+
+
+def test_zeta_and_L_chi4_keep_one_table():
+    # one float64 table of 10^6 entries (8 MB), not four
+    tracemalloc.start()
+    try:
+        asymptotics._zeta_and_L_chi4(2.0, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 10**6
 
 
 @pytest.mark.parametrize("D", [4, 5, 8, 12, 1009])
