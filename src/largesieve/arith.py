@@ -161,36 +161,6 @@ def mobius(n: int | FactoredInt) -> int:
     return -1 if len(f.factors) % 2 else 1
 
 
-def divisor_count(n: int | FactoredInt) -> int:
-    f = factorize(n)
-    out = 1
-    for _, e in f.factors:
-        out *= e + 1
-    return out
-
-
-def von_mangoldt(n: int) -> float:
-    """log p at prime powers p^k, 0 elsewhere.  Exact 0 off the support."""
-    f = factorize(n)
-    if len(f.factors) != 1:
-        return 0.0
-    return math.log(f.factors[0][0])
-
-
-def von_mangoldt_k(n: int, k: int) -> float:
-    """Generalized von Mangoldt value: sum over d | n of mu(d) log(n/d)^k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    f = factorize(n)
-    if f.n == 1 or len(f.factors) > k:
-        # mu * log^k vanishes once n has more than k distinct prime factors
-        return 0.0
-    total = 0.0
-    for d in squarefree_divisors(f):
-        total += mobius(factorize(d)) * math.log(f.n / d) ** k
-    return total
-
-
 def squarefree_divisors(n: int | FactoredInt) -> list[int]:
     f = factorize(n)
     divs = [1]
@@ -218,40 +188,16 @@ def q3_radical(q: int | FactoredInt) -> FactoredInt:
     return FactoredInt(out, tuple((p, 1) for p in ps))
 
 
-def r2_coprime(n: int) -> int:
-    """Ordered pairs (x, y) with x^2 + y^2 = n and gcd(x, y) = 1.
-
-    Signs count; gcd(0, k) = |k|, so n = 1 has the four representations
-    (0, +-1) and (+-1, 0).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = 0
-    for x in range(math.isqrt(n) + 1):
-        y2 = n - x * x
-        y = math.isqrt(y2)
-        if y * y == y2 and math.gcd(x, y) == 1:
-            total += (2 if x else 1) * (2 if y else 1)
-    return total
-
-
 def r2_coprime_table(n_max: int) -> np.ndarray:
-    """r2_coprime for every n <= n_max in one pass (int64 array)."""
+    """r2(n) for every n <= n_max in one pass (int64 array).
+
+    r2(n) counts the ordered pairs (x, y), signs included, with x^2 + y^2 = n
+    and gcd(x, y) = 1; gcd(0, k) = |k|, so r2(1) = 4.
+    """
     if n_max > SIEVE_LIMIT_BUDGET:
         raise ResourceLimitError(
             f"r2 table size {n_max} exceeds budget {SIEVE_LIMIT_BUDGET}")
     return _backend.r2_counts(int(n_max))
-
-
-def rho_weight(n: int | FactoredInt, N: int) -> float:
-    """prod over p | n of log p / log N (empty product = 1)."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    f = factorize(n)
-    out = 1.0
-    for p, _ in f.factors:
-        out *= math.log(p) / math.log(N)
-    return out
 
 
 def von_mangoldt_table(N: int) -> np.ndarray:

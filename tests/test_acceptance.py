@@ -15,13 +15,13 @@ import pytest
 from largesieve import asymptotics as asy
 from largesieve import exceptional as ex
 from largesieve import lsi
-from largesieve.arith import euler_phi, von_mangoldt_k, von_mangoldt_table
+from largesieve.arith import euler_phi, von_mangoldt_table
 from largesieve.characters import (character_group, group, is_primitive,
                                    real_primitive_characters, chi4)
 from largesieve.cli import main as cli_main, report_row
 from largesieve.expsums import gauss_sum, ramanujan_table
 from largesieve.lsi import CoefficientSequence, SupportRestriction, random_sequence
-from oracles import T_q
+from oracles import T_q, von_mangoldt_k
 
 GRID_N = [50, 200, 1000]
 GRID_Q = [2, 5, 10, 30]

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from largesieve import _backend, arith
-from largesieve.arith import (FactoredInt, divisor_count, euler_phi, factorize,
-                              mobius, nu, q3_radical, r2_coprime,
-                              r2_coprime_table, rho_weight, sieve_primes,
-                              von_mangoldt, von_mangoldt_k, von_mangoldt_table)
+from largesieve.arith import (FactoredInt, euler_phi, factorize, mobius, nu,
+                              q3_radical, r2_coprime_table, sieve_primes,
+                              von_mangoldt_table)
 from largesieve.errors import ResourceLimitError
+from oracles import divisor_count, r2_coprime, rho_weight, von_mangoldt, von_mangoldt_k
 
 
 def is_prime_td(n):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from largesieve import asymptotics as asy
-from largesieve.arith import divisor_count, factorize, nu, q3_radical
+from largesieve.arith import factorize, nu, q3_radical
 from largesieve.errors import DomainError
-from oracles import T_q, convolution_identity_check, count_nu_tau
+from oracles import T_q, convolution_identity_check, count_nu_tau, divisor_count
 
 
 def S_brute(q, x):

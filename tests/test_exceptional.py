@@ -5,11 +5,12 @@ import pytest
 
 from largesieve import cli
 from largesieve import exceptional as ex
-from largesieve.arith import SIEVE_LIMIT_BUDGET, factorize, mobius, von_mangoldt
+from largesieve.arith import SIEVE_LIMIT_BUDGET, factorize, mobius
 from largesieve.characters import (character_group, chi4, is_primitive,
                                    real_primitive_characters)
 from largesieve.errors import DomainError, ResourceLimitError
 from largesieve.lsi import CoefficientSequence, primitive_char_sums, random_sequence
+from oracles import von_mangoldt
 
 
 def test_test_functions():

@@ -210,6 +210,116 @@ def test_residue_folds_yields_each_modulus_once():
     assert list(lsi.residue_folds(a, [])) == []
 
 
+def read_moduli(monkeypatch):
+    """Record the modulus of every call of lsi.residue_sums."""
+    seen = []
+    original = lsi.residue_sums
+
+    def spy(a, q, terms=None):
+        seen.append(q)
+        return original(a, q, terms)
+
+    monkeypatch.setattr(lsi, "residue_sums", spy)
+    return seen
+
+
+def group_tops(qs):
+    top = max(qs)
+    return sorted({q * (top // q) for q in qs})
+
+
+def expected_reads(tops, entries):
+    """The moduli residue_folds reads: consecutive tops paired while 4 lcm <= entries."""
+    out = []
+    while tops:
+        L = math.lcm(*tops[:2])
+        k = 2 if len(tops) > 1 and 4 * L <= entries else 1
+        out.append(L if k == 2 else tops[0])
+        tops = tops[k:]
+    return out
+
+
+PAIRED_SHAPES = [
+    pytest.param(range(1, 13), id="even-tops"),
+    pytest.param(range(1, 14), id="odd-tops"),
+    pytest.param([6, 3, 2, 1, 3], id="single-top"),
+    pytest.param([9, 1, 20, 9, 14, 7, 11, 14], id="duplicates"),
+    pytest.param(range(2, 31, 2), id="even-moduli"),
+]
+
+
+@pytest.mark.parametrize("qs", PAIRED_SHAPES)
+@pytest.mark.parametrize("M, N", [(0, 2000), (13, 2001), (997, 3163)])
+def test_paired_reads_match_the_loop_on_integers(qs, M, N, monkeypatch):
+    seen = read_moduli(monkeypatch)
+    tops = group_tops(qs)
+    for a in (integer_coeffs(N, M), lsi.prime_indicator(M, 5 * N)):
+        seen.clear()
+        got = dict(lsi.residue_folds(a, qs))
+        assert sorted(got) == sorted(set(qs))
+        for q, b in got.items():
+            assert np.array_equal(b, residue_oracle(a, q)), (q, M, a.index is None)
+        entries = a.N if a.index is None else a.index.size
+        assert seen == expected_reads(tops, entries)
+        assert len(seen) == 1 or len(seen) < len(tops)  # a pair was read together
+
+
+@pytest.mark.parametrize("qs", PAIRED_SHAPES)
+def test_paired_reads_match_the_loop_on_random_data(qs):
+    for M, N in ((0, 2000), (13, 2001), (997, 3163)):
+        a = random_sequence(N, M=M, seed=7, trial=M)
+        for q, b in lsi.residue_folds(a, qs):
+            ref = residue_oracle(a, q)
+            assert np.allclose(b, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref))), (q, M)
+
+
+def test_pairs_form_when_q_squared_is_small_against_n(monkeypatch):
+    a = random_sequence(20_000, M=5, seed=3, trial=0)
+    seen = read_moduli(monkeypatch)
+    list(lsi.residue_folds(a, range(1, 31)))
+    tops = list(range(16, 31))
+    assert seen == [math.lcm(m, m + 1) for m in tops[:-1:2]] + [30]
+    assert len(seen) == math.ceil(len(tops) / 2)
+    seen.clear()
+    list(lsi.residue_folds(a, range(2, 31, 2)))  # even tops: lcm(16, 18) = 144, not 288
+    assert seen == [144, 220, 312, 420] == expected_reads(group_tops(range(2, 31, 2)), a.N)
+
+
+def test_no_pairs_when_q_squared_exceeds_n(monkeypatch):
+    a = random_sequence(40_000, seed=3, trial=0)
+    seen = read_moduli(monkeypatch)
+    assert lsi_mvs(a, 800).lhs > 0
+    assert seen == group_tops([q for q in range(1, 801) if q % 4 != 2])
+
+
+def test_a_sparse_read_pairs_by_its_nonzero_count(monkeypatch):
+    a = sequence_at_density(20_000, 0.02, seed=4)
+    nnz = np.count_nonzero(a.values)
+    assert nnz < 4 * 16 * 17 and 4 * 29 * 30 <= a.N
+    seen = read_moduli(monkeypatch)
+    got = dict(lsi.residue_folds(a, range(1, 31)))
+    assert seen == list(range(16, 31))
+    for q, b in got.items():
+        assert np.allclose(b, residue_oracle(a, q), rtol=1e-12, atol=1e-12), q
+    seen.clear()
+    p = lsi.prime_indicator(0, 20_000)  # 2262 primes, stored by index
+    list(lsi.residue_folds(p, range(1, 31)))
+    assert seen == expected_reads(list(range(16, 31)), p.index.size)
+    assert 2 < len(seen) < 15  # some tops paired, some read alone
+
+
+def test_paired_reads_hold_one_residue_vector_at_a_time():
+    a = random_sequence(10**6, seed=0, trial=0)
+    tracemalloc.start()
+    try:
+        for _ in lsi.residue_folds(a, range(1, 151)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 def sequence_at_density(N, density, seed):
     """Random complex coefficients on (7, 7 + N], each nonzero with probability density."""
     a = random_sequence(N, M=7, seed=seed, trial=0)
@@ -860,7 +970,7 @@ def test_thm21_conditions_vm_coefficients_literal():
 def test_thm21_conditions_vm_k_fitted_constant():
     # a_n = Lambda_k(n) / (sqrt(n) (log N)^k) meets both conditions up to a
     # single fitted constant for k <= 3 (worst ratios ~2.0, 2.9, 4.7 at p=2)
-    from largesieve.arith import von_mangoldt_k
+    from oracles import von_mangoldt_k
     N = 10**4
     n = np.arange(1, N + 1)
     for k in (1, 2, 3):
