@@ -1,9 +1,9 @@
 """Exceptional-character interactions with the log-weighted sieve.
 
-Coefficients Lambda(n) f(n/N), the divisor convolution lambda = 1 * chi_D,
-truncated L(1, chi_D) values, and the verification reports for the
-exceptional-character inequalities: the prime-indicator bound, the smoothed
-psi-sum bound, and the per-character consequence with its guard hypothesis.
+Coefficients Lambda(n) f(n/N), truncated L(1, chi_D) values, and the
+verification reports for the exceptional-character inequalities: the
+prime-indicator bound, the smoothed psi-sum bound, and the per-character
+consequence with its guard hypothesis.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ from typing import Callable
 
 import numpy as np
 
-from largesieve.arith import SIEVE_LIMIT_BUDGET, factorize, von_mangoldt_table
+from largesieve.arith import SIEVE_LIMIT_BUDGET, von_mangoldt_table
 # group, is_primitive and residue_sums are unused here but stay importable from
 # this module: perfbench/test_perfbench.py checks that its tracer wraps them.
 from largesieve.characters import (DirichletCharacter, group, is_primitive,  # noqa: F401
                                    real_primitive_characters)
 from largesieve.errors import DomainError, ResourceLimitError
 from largesieve.lsi import (REL_TOL, CoefficientSequence, InequalityReport,  # noqa: F401
-                            char_sum, make_report, prime_indicator,
+                            _residues, char_sum, make_report, prime_indicator,
                             primitive_char_sums, residue_sums, sieve_lhs)
 
 
@@ -70,17 +70,6 @@ def smooth_bump_function() -> TestFunction:
 
     A1, A2 = _gauss_legendre_moments(fn)
     return TestFunction("smooth_bump", A1, A2, fn)
-
-
-def table_function(us, values) -> TestFunction:
-    """Piecewise-linear f from sample points on [0, 1]."""
-    us = np.asarray(us, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if np.any(values < 0) or np.any(values > 1):
-        raise DomainError("table values must lie in [0, 1]")
-    fn = lambda u: np.interp(u, us, values, left=0.0, right=0.0)
-    A1, A2 = _gauss_legendre_moments(fn, nodes=2000)
-    return TestFunction("user_table", A1, A2, fn)
 
 
 # ---------------------------------------------------------------------
@@ -149,7 +138,7 @@ def make_setups(characters: list[DirichletCharacter], Ns: list[int],
 
 
 # ---------------------------------------------------------------------
-# coefficients and convolutions
+# coefficients and L(1, chi_D)
 
 
 def coeffs_lambda_f(N: int, f: TestFunction) -> CoefficientSequence:
@@ -164,24 +153,6 @@ def thm21_coefficients(N: int) -> CoefficientSequence:
     """Theorem 2.1's a_n = Lambda(n) f(n/N) / (sqrt(n) log N), f the indicator."""
     lam = coeffs_lambda_f(N, indicator_function())
     return CoefficientSequence(0, lam.values / np.sqrt(np.arange(1, N + 1)) / math.log(N))
-
-
-def one_plus_chi(n: int, chi_D: DirichletCharacter) -> float:
-    """1 + chi_D(n); lies in {0, 1, 2} on units, equals 1 off them."""
-    return 1.0 + chi_D(n).real
-
-
-def lambda_conv(n, chi_D: DirichletCharacter) -> float:
-    """(1 * chi_D)(n) = sum over d | n of chi_D(d)."""
-    f = factorize(n)
-    return float(sum(chi_D(d).real for d in f.divisors()))
-
-
-def lambda_partial_sum(N: int, chi_D: DirichletCharacter) -> float:
-    """sum over n <= N of (1 * chi_D)(n), via the hyperbola-free O(N) form."""
-    d = np.arange(1, N + 1)
-    chi_vals = chi_D.values().real[d % chi_D.modulus]
-    return float(np.sum(chi_vals * (N // d)))
 
 
 @dataclass(frozen=True)
@@ -248,25 +219,6 @@ def L1_chiD(chi_D: DirichletCharacter, truncation: int | None = None) -> LTrunca
 
 # ---------------------------------------------------------------------
 # inequality reports
-
-
-def eq37_check(a: CoefficientSequence, chi_D: DirichletCharacter) -> InequalityReport:
-    """Algebraic lower bound for the squared chi_D sum of nonnegative data.
-
-    (sum chi_D(n) a_n)^2 >= (sum a_n)^2 - 2 (sum a_n)(sum rho(n) a_n),
-    rho = 1 + chi_D.  Reported with lhs = the lower bound, rhs = the square.
-    """
-    vals = a.values
-    if np.any(np.abs(vals.imag) > 0) or np.any(vals.real < 0):
-        raise DomainError("requires real nonnegative coefficients")
-    D = chi_D.modulus
-    x = a.total().real
-    chi_sum = char_sum(chi_D, a).real
-    rho_sum = x + chi_sum
-    lower = x * x - 2.0 * x * rho_sum
-    return make_report("eq37", {"M": a.M, "N": a.N, "D": D},
-                       lower, chi_sum * chi_sum,
-                       extras={"coeff_sum": x, "rho_sum": rho_sum})
 
 
 def _log_weighted_sieve(a: CoefficientSequence, Q: float) -> float:
@@ -422,7 +374,8 @@ def eq31_check(a: CoefficientSequence, Q: float,
         raise DomainError("coefficients must be the indicator of every prime in (M, M+N]")
     P = float(ps.size)
     lhs = _log_weighted_lhs(a, Q, chi_D)
-    lam_sum = float(np.sum(1.0 + chi_D.values().real[ps % D]))
+    chi = chi_D.values().real[_residues(ps, D, np.empty_like(ps))]
+    lam_sum = float(np.sum(1.0 + chi))
     rhs = ((Q * Q + a.N) * P - math.log(Q * Q / D) * P * P
            + 2.0 * math.log(Q / D) * P * lam_sum)
     return make_report("eq31", {"M": a.M, "N": a.N, "Q": Q, "D": D}, lhs, rhs,

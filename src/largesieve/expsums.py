@@ -1,4 +1,4 @@
-"""Gauss sums and Ramanujan sums, by definition and by closed formula."""
+"""Ramanujan sums c_r(n) by their divisor formula, one at a time or as a table."""
 
 from __future__ import annotations
 
@@ -9,34 +9,7 @@ import numpy as np
 from largesieve.arith import factorize, mobius
 # group is unused here but stays importable from this module:
 # perfbench/test_perfbench.py checks that its tracer wraps it.
-from largesieve.characters import DirichletCharacter, group  # noqa: F401
-
-
-def e(x: float) -> complex:
-    """e(x) = exp(2 pi i x), argument reduced mod 1 before scaling."""
-    x = x - math.floor(x)
-    return complex(math.cos(2 * math.pi * x), math.sin(2 * math.pi * x))
-
-
-def gauss_sum(chi: DirichletCharacter) -> complex:
-    """tau(chi) = sum over u mod q of chi(u) e(u/q).
-
-    Computed by definition for every character, imprimitive ones included:
-    it is the oracle for the closed form of |tau(chi)|^2 that lsi_thm12 uses.
-    """
-    q = chi.modulus
-    values = chi.values()
-    phases = np.exp(2j * np.pi * np.arange(q) / q)
-    return complex(values @ phases)
-
-
-def ramanujan_sum_exp(r: int, n: int) -> complex:
-    """c_r(n) as the exponential sum over u mod r with (u, r) = 1."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    u = np.arange(r)
-    u = u[np.gcd(u, r) == 1]
-    return complex(np.exp(2j * np.pi * (u * (n % r)) / r).sum())
+from largesieve.characters import group  # noqa: F401
 
 
 def ramanujan_sum_divisor(r, n: int) -> int:

@@ -32,6 +32,20 @@ from largesieve.errors import DomainError, SupportError
 REL_TOL = 1e-9
 
 
+# Integer arrays are reduced mod a scalar q as n - (n // q) q, never by %.
+# numpy divides by a scalar integer with libdivide's multiply and shift, but
+# computes % with one hardware division per entry.  Measured on a 2-vCPU x86
+# VM (numpy 2.4.6, the 104,419 primes of a window of 1.5e6 above 1.03e6): %
+# costs 4.3 ns per entry, // 1.2 ns in int64 and 0.36 ns in int32, and the
+# whole reduction 2.0 ns in int64 and 0.65 ns in int32.  Each step writes
+# into out, so the reduction holds no array but n and out.
+def _residues(n: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
+    """n mod q into out, an array of n's shape and dtype, for 1 <= q in that dtype."""
+    np.floor_divide(n, q, out=out)
+    out *= q
+    return np.subtract(n, out, out=out)
+
+
 # ---------------------------------------------------------------------
 # data types
 
@@ -151,9 +165,23 @@ class SupportRestriction:
         return cls(frozenset(p for r in moduli for p in factorize(r).prime_factors))
 
     def allowed_mask(self, n: np.ndarray) -> np.ndarray:
+        """True where no prime of the restriction divides n, for integers n.
+
+        p divides n = min(n) + k exactly when k = -min(n) (mod p), so each
+        prime reduces the offsets k = n - min(n), held in int32 when they and
+        the primes are below 2^31 and in n's dtype otherwise, into one reused
+        buffer by _residues.
+        """
         mask = np.ones(n.shape, dtype=bool)
+        if not (n.size and self.primes):
+            return mask
+        lo = int(n.min())
+        small = max(int(n.max()) - lo, *self.primes) < 2**31
+        k = np.empty(n.shape, dtype=np.int32 if small else n.dtype)
+        np.subtract(n, lo, out=k)
+        r = np.empty_like(k)
         for p in sorted(self.primes):
-            mask &= n % p != 0
+            mask &= _residues(k, p, r) != -lo % p
         return mask
 
     def zero_forbidden(self, values: np.ndarray, M: int) -> None:
@@ -206,11 +234,12 @@ def make_report(inequality_id: str, parameters: dict, lhs: float, rhs: float,
 
 # residue_folds reads a sparsely when fewer than this share of its entries
 # are nonzero.  Measured on a 2-vCPU x86 VM (numpy 2.4, N = 1e6, q in
-# (75, 150], best of 5): a dense fold costs 1.0-1.4 ns per entry, the sparse
-# read 6.2-6.8 ns per nonzero real entry and 7.9-9.4 ns per complex one, so
-# per modulus they meet at a density of 0.13-0.2.  Finding the nonzero
-# entries costs another 5-6 ns per entry once per left side, which puts
-# the threshold below that.
+# (75, 150], densities 0.05-0.2, best of 5): a dense fold costs 0.6-0.7 ns
+# per real entry and 1.0-1.2 ns per complex one, the sparse read 4.0-4.4 ns
+# per nonzero real entry and 5.1-6.3 ns per complex one, so per modulus
+# they meet at a density of 0.15-0.22.  Finding the nonzero entries costs
+# another 5-6 ns per entry once per left side, which puts the threshold
+# below that.
 _SPARSE_BELOW = 0.1
 
 # residue_folds reads two group tops m_1 < m_2 together, as b mod
@@ -250,13 +279,16 @@ def residue_sums(a: CoefficientSequence, q: int, terms=None) -> np.ndarray:
     full periods are summed as a (k, q) view of the vector; the tail lands
     in b[:t].  With terms from sparse_terms(a), it bincounts the nonzero a_n
     by n mod q instead, real and imaginary parts apart, in ascending n; a
-    sequence stored by index is always read so.
+    sequence stored by index is always read so.  The sparse read reduces
+    the int64 n by _residues into one new array: int32 offsets would reduce
+    faster, but bincount copies its input to intp, which would add an int64
+    array per read (0.8 MB on the prime indicator of sparse_bt).
     """
     if terms is None and a.index is not None:
         terms = sparse_terms(a)
     if terms is not None:
         n, re, im = terms
-        u = n % q
+        u = _residues(n, q, np.empty_like(n))
         b = np.bincount(u, re, q).astype(np.complex128)
         if im is not None:
             b.imag = np.bincount(u, im, q)

@@ -7,7 +7,10 @@ import numpy as np
 
 from largesieve.arith import FactoredInt, factorize, mobius, q3_radical, squarefree_divisors
 from largesieve.asymptotics import S_q, _nu_sums
+from largesieve.characters import DirichletCharacter
 from largesieve.errors import DomainError
+from largesieve.exceptional import TestFunction, _gauss_legendre_moments
+from largesieve.lsi import CoefficientSequence, InequalityReport, char_sum, make_report
 
 
 # ---------------------------------------------------------------------
@@ -70,6 +73,89 @@ def rho_weight(n: int | FactoredInt, N: int) -> float:
     for p, _ in f.factors:
         out *= math.log(p) / math.log(N)
     return out
+
+
+# ---------------------------------------------------------------------
+# exponential sums, by definition
+
+
+def e(x: float) -> complex:
+    """e(x) = exp(2 pi i x), argument reduced mod 1 before scaling."""
+    x = x - math.floor(x)
+    return complex(math.cos(2 * math.pi * x), math.sin(2 * math.pi * x))
+
+
+def gauss_sum(chi: DirichletCharacter) -> complex:
+    """tau(chi) = sum over u mod q of chi(u) e(u/q).
+
+    Computed by definition for every character, imprimitive ones included:
+    it is the oracle for the closed form of |tau(chi)|^2 that lsi_thm12 uses.
+    """
+    q = chi.modulus
+    values = chi.values()
+    phases = np.exp(2j * np.pi * np.arange(q) / q)
+    return complex(values @ phases)
+
+
+def ramanujan_sum_exp(r: int, n: int) -> complex:
+    """c_r(n) as the exponential sum over u mod r with (u, r) = 1."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    u = np.arange(r)
+    u = u[np.gcd(u, r) == 1]
+    return complex(np.exp(2j * np.pi * (u * (n % r)) / r).sum())
+
+
+# ---------------------------------------------------------------------
+# the convolution lambda = 1 * chi_D, eq. 3.7 and tabulated test functions
+
+
+def one_plus_chi(n: int, chi_D: DirichletCharacter) -> float:
+    """1 + chi_D(n); lies in {0, 1, 2} on units, equals 1 off them."""
+    return 1.0 + chi_D(n).real
+
+
+def lambda_conv(n, chi_D: DirichletCharacter) -> float:
+    """(1 * chi_D)(n) = sum over d | n of chi_D(d)."""
+    f = factorize(n)
+    return float(sum(chi_D(d).real for d in f.divisors()))
+
+
+def lambda_partial_sum(N: int, chi_D: DirichletCharacter) -> float:
+    """sum over n <= N of (1 * chi_D)(n), via the hyperbola-free O(N) form."""
+    d = np.arange(1, N + 1)
+    chi_vals = chi_D.values().real[d % chi_D.modulus]
+    return float(np.sum(chi_vals * (N // d)))
+
+
+def eq37_check(a: CoefficientSequence, chi_D: DirichletCharacter) -> InequalityReport:
+    """Algebraic lower bound for the squared chi_D sum of nonnegative data.
+
+    (sum chi_D(n) a_n)^2 >= (sum a_n)^2 - 2 (sum a_n)(sum rho(n) a_n),
+    rho = 1 + chi_D.  Reported with lhs = the lower bound, rhs = the square.
+    """
+    vals = a.values
+    if np.any(np.abs(vals.imag) > 0) or np.any(vals.real < 0):
+        raise DomainError("requires real nonnegative coefficients")
+    D = chi_D.modulus
+    x = a.total().real
+    chi_sum = char_sum(chi_D, a).real
+    rho_sum = x + chi_sum
+    lower = x * x - 2.0 * x * rho_sum
+    return make_report("eq37", {"M": a.M, "N": a.N, "D": D},
+                       lower, chi_sum * chi_sum,
+                       extras={"coeff_sum": x, "rho_sum": rho_sum})
+
+
+def table_function(us, values) -> TestFunction:
+    """Piecewise-linear f from sample points on [0, 1]."""
+    us = np.asarray(us, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if np.any(values < 0) or np.any(values > 1):
+        raise DomainError("table values must lie in [0, 1]")
+    fn = lambda u: np.interp(u, us, values, left=0.0, right=0.0)
+    A1, A2 = _gauss_legendre_moments(fn, nodes=2000)
+    return TestFunction("user_table", A1, A2, fn)
 
 
 def vm_k_recurrence_tables(N, kmax):

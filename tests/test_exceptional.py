@@ -10,7 +10,8 @@ from largesieve.characters import (character_group, chi4, is_primitive,
                                    real_primitive_characters)
 from largesieve.errors import DomainError, ResourceLimitError
 from largesieve.lsi import CoefficientSequence, primitive_char_sums, random_sequence
-from oracles import von_mangoldt
+from oracles import (eq37_check, lambda_conv, lambda_partial_sum, one_plus_chi,
+                     table_function, von_mangoldt)
 
 
 def test_test_functions():
@@ -30,10 +31,10 @@ def test_test_functions():
 
 
 def test_table_function():
-    f = ex.table_function([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
+    f = table_function([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
     assert f.A1 == pytest.approx(0.5, abs=1e-6)
     with pytest.raises(DomainError):
-        ex.table_function([0.0, 1.0], [0.0, 2.0])
+        table_function([0.0, 1.0], [0.0, 2.0])
 
 
 def test_coeffs_lambda_f():
@@ -60,31 +61,31 @@ def test_psi_moment_deviations_shrink():
 
 def test_one_plus_chi():
     c5 = real_primitive_characters(5)[0]
-    assert ex.one_plus_chi(2, c5) == 0.0   # chi(2) = -1
-    assert ex.one_plus_chi(5, c5) == 1.0   # gcd > 1
-    assert ex.one_plus_chi(1, c5) == 2.0
+    assert one_plus_chi(2, c5) == 0.0   # chi(2) = -1
+    assert one_plus_chi(5, c5) == 1.0   # gcd > 1
+    assert one_plus_chi(1, c5) == 2.0
 
 
 def test_lambda_conv():
     c5 = real_primitive_characters(5)[0]
-    assert ex.lambda_conv(1, c5) == 1.0
+    assert lambda_conv(1, c5) == 1.0
     for p in (2, 3, 7, 11, 13):
-        assert ex.lambda_conv(p, c5) == 1.0 + c5(p).real
+        assert lambda_conv(p, c5) == 1.0 + c5(p).real
 
 
 @pytest.mark.parametrize("D", [4, 5, 8, 12])
 def test_mobius_inversion(D):
     for chi in real_primitive_characters(D):
         for n in range(1, 501):
-            back = sum(mobius(n // d) * ex.lambda_conv(d, chi)
+            back = sum(mobius(n // d) * lambda_conv(d, chi)
                        for d in factorize(n).divisors())
             assert back == pytest.approx(chi(n).real, abs=1e-9)
 
 
 def test_lambda_partial_sum_matches_brute():
     c5 = real_primitive_characters(5)[0]
-    brute = sum(ex.lambda_conv(n, c5) for n in range(1, 201))
-    assert ex.lambda_partial_sum(200, c5) == pytest.approx(brute, abs=1e-9)
+    brute = sum(lambda_conv(n, c5) for n in range(1, 201))
+    assert lambda_partial_sum(200, c5) == pytest.approx(brute, abs=1e-9)
 
 
 def test_lambda_partial_sum_error_shape():
@@ -93,7 +94,7 @@ def test_lambda_partial_sum_error_shape():
         for chi in real_primitive_characters(D):
             L1 = ex.L1_chiD(chi).value
             for N in (10**4, 10**6):
-                err = abs(ex.lambda_partial_sum(N, chi) - L1 * N)
+                err = abs(lambda_partial_sum(N, chi) - L1 * N)
                 assert err <= 2.0 * math.sqrt(N) * D**0.25 * math.log(N)
 
 
@@ -127,20 +128,20 @@ def test_L1_truncation_over_budget_is_refused(capsys):
 
 def test_eq37():
     c5 = real_primitive_characters(5)[0]
-    rep = ex.eq37_check(CoefficientSequence.zeros(10), c5)
+    rep = eq37_check(CoefficientSequence.zeros(10), c5)
     assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
     a = ex.coeffs_lambda_f(10**4, ex.indicator_function())
-    assert ex.eq37_check(a, c5).passed
+    assert eq37_check(a, c5).passed
     # support where chi_D = -1: rho-sum vanishes and equality holds
     vals = np.zeros(20, dtype=np.complex128)
     for n in range(1, 21):
         if c5(n).real == -1.0:
             vals[n - 1] = 1.0
-    rep = ex.eq37_check(CoefficientSequence(0, vals), c5)
+    rep = eq37_check(CoefficientSequence(0, vals), c5)
     assert rep.extras["rho_sum"] == pytest.approx(0.0, abs=1e-12)
     assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
     with pytest.raises(DomainError):
-        ex.eq37_check(CoefficientSequence(0, np.array([1j])), c5)
+        eq37_check(CoefficientSequence(0, np.array([1j])), c5)
 
 
 def test_make_setup_validation():
@@ -279,6 +280,16 @@ def test_prime_indicator_and_eq31():
     assert rep.extras["prime_count"] == 1167  # pi(11000) - pi(1000)
     dense = CoefficientSequence(1000, ex.prime_indicator(1000, 10**4).dense())
     assert ex.eq31_check(dense, Q, c5) == rep  # the same coefficients, held densely
+
+
+def test_eq31_lambda_sum_matches_the_pointwise_sum():
+    Q = math.sqrt(10**4) / math.log(10**4)
+    for M in (1000, 10**8 - 10**4):  # the second window ends at the sieve budget
+        a = ex.prime_indicator(M, 10**4)
+        for D in (4, 5, 8):
+            for chi in real_primitive_characters(D):
+                want = sum(1.0 + chi(int(p)).real for p in a.index)
+                assert ex.eq31_check(a, Q, chi).extras["lambda_sum"] == want, (M, D)
 
 
 def test_eq31_empty_interval():

@@ -7,8 +7,8 @@ import pytest
 from largesieve.arith import euler_phi, mobius
 from largesieve.characters import (character_group, chi4, conductor, is_primitive,
                                    principal_character)
-from largesieve.expsums import (e, gauss_sum, ramanujan_sum_divisor, ramanujan_sum_exp,
-                                ramanujan_table)
+from largesieve.expsums import ramanujan_sum_divisor, ramanujan_table
+from oracles import e, gauss_sum, ramanujan_sum_exp
 
 
 def test_e_basic():

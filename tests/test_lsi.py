@@ -66,6 +66,66 @@ def test_support_restriction_masks():
     assert SupportRestriction().allowed_mask(n).all()
 
 
+def test_residues_equal_the_remainder():
+    rng = np.random.default_rng(7)
+    wide = np.concatenate([rng.integers(-2**62, 2**62, 2000), [0, 1, 2**62, -2**62]])
+    narrow = np.concatenate([rng.integers(-2**31, 2**31, 2000), [0, 1, 2**31 - 1, -2**31]])
+    for n in (wide, narrow.astype(np.int32), np.arange(1, 100, dtype=np.int32)):
+        top = np.iinfo(n.dtype).max
+        for q in (1, 2, 86, 7310, 2**31 - 1, 2**40, int(np.abs(n).max()) + 1):
+            if q > top:
+                continue
+            out = np.empty_like(n)
+            assert lsi._residues(n, q, out) is out
+            assert np.array_equal(out, n % q), (n.dtype, q)
+    for dtype in (np.int64, np.int32):
+        empty = np.zeros(0, dtype=dtype)
+        assert lsi._residues(empty, 7, np.empty_like(empty)).shape == (0,)
+
+
+def mask_by_gcd(n, primes):
+    mask = np.ones(n.size, dtype=bool)
+    for p in primes:
+        mask &= np.gcd(n, p) == 1
+    return mask
+
+
+def test_allowed_mask_matches_the_gcd_oracle():
+    rough = SupportRestriction.rough(86)
+    primes = lsi.prime_indicator(1_029_919, 1_500_000).index  # the sparse_bt window of seed 3
+    assert np.array_equal(rough.allowed_mask(primes), np.ones(primes.size, dtype=bool))
+    m = 83 * 13_331  # 1,106,473, free of every prime below 83
+    planted = np.insert(primes, np.searchsorted(primes, m), m)
+    mask = rough.allowed_mask(planted)
+    assert np.array_equal(mask, mask_by_gcd(planted, rough.primes))
+    assert list(planted[~mask]) == [m]
+    a = CoefficientSequence(1_029_919, np.ones(planted.size), N=1_500_000, index=planted)
+    with pytest.raises(SupportError, match=r"eq16: 1 coefficients .*\(first at n=1106473\)"):
+        rough.validate(a, "eq16")
+    wide = np.sort(np.random.default_rng(3).integers(1, 10**12, 20000))  # span above 2^31
+    assert wide[-1] - wide[0] >= 2**31
+    for restriction in (rough, SupportRestriction.prime_free([3, 7, 101, 2**31 + 11])):
+        assert np.array_equal(restriction.allowed_mask(wide),
+                              mask_by_gcd(wide, restriction.primes))
+
+
+def test_support_check_and_sparse_reads_hold_little_memory():
+    a = lsi.prime_indicator(1_029_919, 1_500_000)  # 104,419 primes, 0.8 MB of int64
+    rough = SupportRestriction.rough(86)
+    qs = [q for q in range(1, 87) if q % 4 != 2]  # the moduli of eq16 at Q = 86
+    peaks = []
+    for run in (lambda: rough.validate(a, "eq16"),
+                lambda: [None for _ in lsi.residue_folds(a, qs)]):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1.2e6 and peaks[1] < 1.5e6, peaks
+
+
 def test_support_validation_raises():
     a = CoefficientSequence.ones(10)
     with pytest.raises(SupportError):
@@ -154,38 +214,45 @@ def sparse_residue_sums(monkeypatch):
     return read
 
 
+# The sparse read reduces int64 n; these shifts put n above 2^31 and near 2^62.
+SHIFTS = (0, 2**31 + 7, 3 * 10**18)
+
+
 @pytest.mark.parametrize("q", [1, 2, 5, 7])
 def test_sparse_read_matches_loop(q, sparse_residue_sums):
-    for M in range(q + 1):
-        for N in sorted({0, 1, q - 1, q, q + 1, 3 * q + 2}):
-            a = integer_coeffs(N, M)
-            b = sparse_residue_sums(a, q)
-            assert b.shape == (q,) and b.dtype == np.complex128
-            assert np.array_equal(b, residue_oracle(a, q)), (q, M, N)
+    for shift in SHIFTS:
+        for M in range(shift, shift + q + 1):
+            for N in sorted({0, 1, q - 1, q, q + 1, 3 * q + 2}):
+                a = integer_coeffs(N, M)
+                b = sparse_residue_sums(a, q)
+                assert b.shape == (q,) and b.dtype == np.complex128
+                assert np.array_equal(b, residue_oracle(a, q)), (q, M, N)
 
 
 def test_sparse_read_random_complex(sparse_residue_sums):
-    a = random_sequence(5003, M=17, seed=4, trial=1)
-    a.values[::3] = 0.0
-    for q in (1, 3, 64, 97, 5003, 6000):
-        got = sparse_residue_sums(a, q)
-        ref = residue_oracle(a, q)
-        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+    for shift in SHIFTS:
+        a = random_sequence(5003, M=shift + 17, seed=4, trial=1)
+        a.values[::3] = 0.0
+        for q in (1, 3, 64, 97, 5003, 6000):
+            got = sparse_residue_sums(a, q)
+            ref = residue_oracle(a, q)
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_sparse_read_edge_cases(sparse_residue_sums):
-    zero = CoefficientSequence.zeros(50, M=3)
-    n, re, im = lsi.sparse_terms(zero)
-    assert n.size == re.size == 0 and im is None
-    assert np.array_equal(sparse_residue_sums(zero, 7), np.zeros(7, dtype=np.complex128))
-    short = integer_coeffs(4, 8)  # N < q
-    assert np.array_equal(sparse_residue_sums(short, 11), residue_oracle(short, 11))
-    real = CoefficientSequence(5, np.array([0, 3, 0, -2, 0, 0, 7, 1], dtype=float))
-    assert lsi.sparse_terms(real)[2] is None
-    assert np.array_equal(sparse_residue_sums(real, 3), residue_oracle(real, 3))
-    imag = CoefficientSequence(5, np.array([0, 3j, 0, -2j, 0, 0, 7j, 1j]))
-    assert np.array_equal(sparse_residue_sums(imag, 3), residue_oracle(imag, 3))
-    assert np.array_equal(sparse_residue_sums(imag, 3).real, np.zeros(3))
+    for shift in SHIFTS:
+        zero = CoefficientSequence.zeros(50, M=shift + 3)
+        n, re, im = lsi.sparse_terms(zero)
+        assert n.size == re.size == 0 and im is None
+        assert np.array_equal(sparse_residue_sums(zero, 7), np.zeros(7, dtype=np.complex128))
+        short = integer_coeffs(4, shift + 8)  # N < q
+        assert np.array_equal(sparse_residue_sums(short, 11), residue_oracle(short, 11))
+        real = CoefficientSequence(shift + 5, np.array([0, 3, 0, -2, 0, 0, 7, 1], dtype=float))
+        assert lsi.sparse_terms(real)[2] is None
+        assert np.array_equal(sparse_residue_sums(real, 3), residue_oracle(real, 3))
+        imag = CoefficientSequence(shift + 5, np.array([0, 3j, 0, -2j, 0, 0, 7j, 1j]))
+        assert np.array_equal(sparse_residue_sums(imag, 3), residue_oracle(imag, 3))
+        assert np.array_equal(sparse_residue_sums(imag, 3).real, np.zeros(3))
 
 
 def test_fold_from_a_multiple_equals_the_direct_fold():
@@ -364,7 +431,7 @@ def test_sieve_lhs_matches_the_per_modulus_path(density, monkeypatch):
       for d in DENSITIES],
 ])
 def test_thm12_matches_the_per_modulus_path(density, P, moduli, monkeypatch):
-    from largesieve.expsums import gauss_sum
+    from oracles import gauss_sum
     # only the share prod (1 - 1/p) of the n avoids P, so draw at the inverse density
     a = sequence_at_density(2000, min(1.0, density * math.prod(p / (p - 1) for p in P)),
                             seed=22)
