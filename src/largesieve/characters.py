@@ -2,10 +2,11 @@
 
 A character is stored as one exponent per cyclic component of (Z/qZ)^x:
 one primitive-root component per odd prime power, the component of -1 for
-4 | q, and the {-1, 5} pair when 8 | q.  Discrete-log tables are built
-eagerly per modulus and memoized, giving O(1) value lookup; phases are
-exact integers modulo the group exponent, so characters compare and
-classify without any floating-point ambiguity.
+4 | q, and that of 5 as well when 8 | q.  Each prime power's discrete-log
+tables come from one walk per component generator, built eagerly per
+modulus and memoized, giving O(1) value lookup; phases are exact integers
+modulo the group exponent, so characters compare and classify without any
+floating-point ambiguity.
 """
 
 from __future__ import annotations
@@ -19,12 +20,9 @@ from itertools import product
 import numpy as np
 
 from largesieve.arith import factorize
-from largesieve.errors import DomainError
 
 
 def _primitive_root_mod_prime(p: int) -> int:
-    if p == 2:
-        return 1
     fac = factorize(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // r, p) != 1 for r, _ in fac.factors):
@@ -34,27 +32,27 @@ def _primitive_root_mod_prime(p: int) -> int:
 
 def _primitive_root_mod_odd_power(p: int, e: int) -> int:
     g = _primitive_root_mod_prime(p)
-    if e == 1:
-        return g
-    # g generates mod p^e iff g^(p-1) != 1 mod p^2; otherwise g+p does.
-    if pow(g, p - 1, p * p) == 1:
-        g += p
-    return g
+    # for e >= 2, g generates mod p^e iff g^(p-1) != 1 mod p^2; otherwise g+p does.
+    return g + p if e >= 2 and pow(g, p - 1, p * p) == 1 else g
 
 
 class _Component:
-    """One cyclic factor of (Z/qZ)^x."""
+    """One cyclic factor of (Z/qZ)^x, of one of three kinds.
+
+    "odd" is generated by a primitive root mod an odd p^e, "two_neg" by -1
+    mod 2^e (e >= 2) and "two_five" by 5 mod 2^e (e >= 3).
+    """
 
     __slots__ = ("kind", "p", "prime_power", "generator", "order", "dlog", "walk")
 
     def __init__(self, kind: str, p: int, e: int, generator: int, order: int):
-        self.kind = kind  # "odd" | "four" | "two_neg" | "two_five"
+        self.kind = kind  # "odd" | "two_neg" | "two_five"
         self.p = p
         self.prime_power = p**e
         self.generator = generator % self.prime_power
         self.order = order
         self.dlog = None  # filled by the group constructor
-        self.walk = None  # generator**t mod prime_power for t < order; None on the 2^e pair
+        self.walk = None  # generator**t mod prime_power for t < order
 
     def conductors(self, a):
         """Conductor of n -> e(a dlog(n) / order), for an exponent or an array of them.
@@ -97,41 +95,34 @@ class CharacterGroup:
     @staticmethod
     def _build_components(modulus):
         for p, e in factorize(modulus).factors:
-            if p == 2:
-                if e == 2:
-                    yield _Component("four", 2, 2, 3, 2)
-                elif e >= 3:
+            if p == 2:  # e == 1: trivial unit group, no component
+                if e >= 2:
                     yield _Component("two_neg", 2, e, 2**e - 1, 2)
+                if e >= 3:
                     yield _Component("two_five", 2, e, 5, 2 ** (e - 2))
-                # e == 1: trivial unit group, no component
             else:
                 g = _primitive_root_mod_odd_power(p, e)
                 yield _Component("odd", p, e, g, p ** (e - 1) * (p - 1))
 
     def _fill_dlogs(self):
-        two_pair = [c for c in self.components if c.kind in ("two_neg", "two_five")]
-        for comp in self.components:
-            if comp.kind in ("odd", "four"):
+        """Walk each generator; the units mod p^e are the products of the walks.
+
+        The components of one prime power p^e multiply out to the grid of
+        all units mod p^e, and the exponent grids say which power of each
+        generator every unit is.
+        """
+        for pe in dict.fromkeys(c.prime_power for c in self.components):
+            comps = [c for c in self.components if c.prime_power == pe]
+            for comp in comps:
                 walk, r = [], 1
                 for _ in range(comp.order):
                     walk.append(r)
-                    r = r * comp.generator % comp.prime_power
+                    r = r * comp.generator % pe
                 comp.walk = np.array(walk, dtype=np.int64)
-                comp.dlog = np.zeros(comp.prime_power, dtype=np.int64)
-                comp.dlog[comp.walk] = np.arange(comp.order)
-        if two_pair:
-            neg, five = two_pair
-            pe = neg.prime_power
-            tneg = np.zeros(pe, dtype=np.int64)
-            tfive = np.zeros(pe, dtype=np.int64)
-            for s in range(2):
-                r = pe - 1 if s else 1
-                for t in range(five.order):
-                    tneg[r] = s
-                    tfive[r] = t
-                    r = r * 5 % pe
-            neg.dlog = tneg
-            five.dlog = tfive
+            units = reduce(lambda x, y: np.multiply.outer(x, y) % pe, (c.walk for c in comps))
+            for comp, exponents in zip(comps, np.indices(units.shape)):
+                comp.dlog = np.zeros(pe, dtype=np.int64)
+                comp.dlog[units] = exponents
 
     # ---- character enumeration -------------------------------------
 
@@ -150,27 +141,12 @@ class CharacterGroup:
                 zip(product(*(range(c.order) for c in self.components)),
                     np.ravel(conductors).tolist())]
 
-    def product_characters(self, factors) -> list[DirichletCharacter]:
-        """chi_1 ... chi_k for every choice of chi_j from factors[j], in C order.
+    def value_matrix(self, chars) -> np.ndarray:
+        """Complex value table, one row per character, columns n = 0..q-1.
 
-        factors[j] holds characters mod the j-th prime power of q, in
-        factorize order.  Each component of this group is the one of the
-        group mod its prime power, so the exponent tuple of a product is
-        the factors' tuples concatenated, and its conductor is the product
-        of theirs.  A single factor is already a list of characters of this
-        group, and is returned as it is.
+        Each row indexes the root table by its integer phases mod the group
+        exponent.
         """
-        if len(factors) == 1:
-            return factors[0]
-        conductors = reduce(np.multiply.outer,
-                            ([conductor(chi) for chi in f] for f in factors), np.int64(1))
-        make = DirichletCharacter._reduced
-        return [make(self, sum(combo, ()), f) for combo, f in
-                zip(product(*([chi.exponents for chi in f] for f in factors)),
-                    np.ravel(conductors).tolist())]
-
-    def phase_rows(self, chars) -> np.ndarray:
-        """Integer phases (mod group exponent) of each character on 0..q-1."""
         L = self.exponent
         exps = np.array([ch.exponents for ch in chars], dtype=np.int64)
         exps = exps.reshape(len(chars), len(self.components))
@@ -178,11 +154,7 @@ class CharacterGroup:
         for j, c in enumerate(self.components):
             phases += np.multiply.outer(exps[:, j] * (L // c.order), self.dlog_matrix[j])
         phases %= L
-        return phases
-
-    def value_matrix(self, chars) -> np.ndarray:
-        """Complex value table, one row per character, columns n = 0..q-1."""
-        values = self.root_table[self.phase_rows(chars)]
+        values = self.root_table[phases]
         values[:, ~self.coprime_mask] = 0.0
         return values
 
@@ -192,18 +164,12 @@ def group(modulus: int) -> CharacterGroup:
     return CharacterGroup(modulus)
 
 
-class ProductCharacters(Sequence):
-    """group(q).product_characters of per-factor lists, built on first read.
+class PrimitiveCharacters(Sequence):
+    """primitive_characters(q), built on first read; len() builds nothing."""
 
-    factors[j] is (m_j, rows) for the j-th prime power m_j of q, in
-    factorize order, and lists group(m_j).characters()[k] for k in rows.
-    len() is the product of the row counts and builds nothing.
-    """
-
-    def __init__(self, modulus: int, factors):
+    def __init__(self, modulus: int, length: int):
         self.modulus = modulus
-        self._factors = factors
-        self._len = math.prod(len(rows) for _, rows in factors)
+        self._len = length
         self._chars = None
 
     def __len__(self) -> int:
@@ -211,11 +177,7 @@ class ProductCharacters(Sequence):
 
     def __getitem__(self, i):
         if self._chars is None:
-            lists = []
-            for m, rows in self._factors:
-                chars = group(m).characters()
-                lists.append([chars[k] for k in rows])
-            self._chars = group(self.modulus).product_characters(lists)
+            self._chars = primitive_characters(self.modulus)
         return self._chars[i]
 
 
@@ -307,11 +269,6 @@ def character_group(q: int) -> list[DirichletCharacter]:
     return group(q).characters()
 
 
-def principal_character(q: int) -> DirichletCharacter:
-    g = group(q)
-    return DirichletCharacter(g, (0,) * len(g.components))
-
-
 def conductor(chi: DirichletCharacter) -> int:
     """Smallest f | q such that chi factors through a character mod f."""
     if chi._conductor is None:
@@ -333,45 +290,6 @@ def real_primitive_characters(D: int) -> list[DirichletCharacter]:
     return [chi for chi in primitive_characters(D) if chi.is_real]
 
 
-def induce(chi: DirichletCharacter, modulus: int) -> DirichletCharacter:
-    """The character mod `modulus` agreeing with chi on units.
-
-    chi must be primitive of conductor dividing `modulus`.
-    """
-    q1 = chi.modulus
-    if modulus % q1 != 0:
-        raise DomainError(f"conductor {q1} does not divide modulus {modulus}")
-    big = group(modulus)
-    exps = []
-    for c in big.components:
-        # CRT lift of this component's generator: c.generator at p^e, 1 elsewhere
-        other = modulus // c.prime_power
-        lifted = _crt(c.generator, c.prime_power, 1, other)
-        ph = chi.phase(lifted % q1)
-        if ph is None:
-            raise DomainError("character is not primitive at its own conductor")
-        a = ph * c.order
-        if a.denominator != 1:
-            raise DomainError("character does not lift to the requested modulus")
-        exps.append(int(a) % c.order)
-    return DirichletCharacter(big, tuple(exps))
-
-
-def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
-    inv = pow(m1, -1, m2)
-    return (a1 + m1 * ((a2 - a1) * inv % m2)) % (m1 * m2)
-
-
 def chi4() -> DirichletCharacter:
     """The nonprincipal (conductor-4) character."""
     return character_group(4)[1]
-
-
-def primitive_core(chi: DirichletCharacter) -> DirichletCharacter:
-    """The primitive character inducing chi."""
-    f = conductor(chi)
-    for cand in primitive_characters(f):
-        ind = induce(cand, chi.modulus)
-        if ind == chi:
-            return cand
-    raise RuntimeError("no primitive core found")  # unreachable

@@ -25,7 +25,7 @@ import numpy as np
 
 from largesieve import arith, expsums
 from largesieve.arith import euler_phi, factorize, prime_table
-from largesieve.characters import (DirichletCharacter, ProductCharacters, group,
+from largesieve.characters import (DirichletCharacter, PrimitiveCharacters, group,
                                    is_primitive)
 from largesieve.errors import DomainError, SupportError
 
@@ -351,7 +351,7 @@ def char_sum(chi: DirichletCharacter, a: CoefficientSequence) -> complex:
 
 
 def primitive_char_sums(a: CoefficientSequence, q: int, b: np.ndarray | None = None):
-    """(primitive characters mod q, their coefficient sums) in group order.
+    """(primitive_characters(q), their coefficient sums), in that order.
 
     b is the residue vector of a mod q when the caller already has it.  Let
     m_1, ..., m_k be the prime powers of q in factorize order.  A character
@@ -369,8 +369,8 @@ def primitive_char_sums(a: CoefficientSequence, q: int, b: np.ndarray | None = N
     m_j: O(m_j log m_j) work, and no character object or value table.  The
     2-adic m_j (4 or 2^e) is contracted with the value matrix of its
     primitive characters.  Only group(m_j) is built, never group(q): the
-    characters are returned as a ProductCharacters, whose length is known
-    at once and whose members are built when first read.
+    labels are a PrimitiveCharacters, whose length is known at once and
+    whose members, primitive_characters(q), are built when first read.
     """
     b = residue_sums(a, q) if b is None else b
     powers = [p**e for p, e in factorize(q).factors]
@@ -379,7 +379,6 @@ def primitive_char_sums(a: CoefficientSequence, q: int, b: np.ndarray | None = N
         idempotent = q // m * pow(q // m, -1, m)  # 1 mod m, 0 mod q/m
         n = np.add.outer(n, np.arange(m) * idempotent) % q
     sums = b[n]
-    factors = [None] * len(powers)
     after = 1
     for j in reversed(range(len(powers))):
         m = powers[j]
@@ -391,12 +390,11 @@ def primitive_char_sums(a: CoefficientSequence, q: int, b: np.ndarray | None = N
             # norm="forward" leaves the inverse transform, sum x_t e(+kt/n), unscaled
             sums = np.fft.ifft(axis[:, component.walk, :], axis=1, norm="forward")[:, rows, :]
         else:
-            chars = local.characters()
-            rows = [k for k, chi in enumerate(chars) if is_primitive(chi)]
-            sums = np.matmul(local.value_matrix([chars[k] for k in rows]), axis)
-        factors[j] = (m, rows)
-        after *= len(rows)
-    return ProductCharacters(q, factors), sums.reshape(-1)
+            prim = [chi for chi in local.characters() if is_primitive(chi)]
+            sums = np.matmul(local.value_matrix(prim), axis)
+        after *= sums.shape[1]
+    sums = sums.reshape(-1)
+    return PrimitiveCharacters(q, sums.size), sums
 
 
 def primitive_energy(a: CoefficientSequence, q: int, b: np.ndarray) -> float:
@@ -531,9 +529,11 @@ def lsi_thm13(a: CoefficientSequence, Q: int) -> InequalityReport:
     """Ramanujan-sum twisted sieve with RHS weight N + Q^2.
 
     The term of each coprime pair (q, r), qr <= Q, is q/phi(qr) E(q) of
-    b_u c_r(u) for b = a mod qr, folded to mod q.  The terms are computed in
-    the order of residue_folds and added in ascending (q, r).
+    b_u c_r(u) for b = a mod qr, folded to mod q.  Each table c_r is built
+    once per r.  The terms are computed in the order of residue_folds and
+    added in ascending (q, r).
     """
+    tables = {r: expsums.ramanujan_table(r) for r in _moduli(Q)}
     pairs = {}
     for q in _moduli(Q):
         for r in range(1, Q // q + 1):
@@ -542,7 +542,7 @@ def lsi_thm13(a: CoefficientSequence, Q: int) -> InequalityReport:
     terms = {}
     for m, b in residue_folds(a, pairs):
         for q, r in pairs[m]:
-            twisted = b * np.tile(expsums.ramanujan_table(r), q)
+            twisted = b * np.tile(tables[r], q)
             terms[q, r] = q / euler_phi(m) * primitive_energy(a, q, fold(twisted, q))
     lhs = 0.0
     for key in sorted(terms):

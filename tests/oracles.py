@@ -7,7 +7,7 @@ import numpy as np
 
 from largesieve.arith import FactoredInt, factorize, mobius, q3_radical, squarefree_divisors
 from largesieve.asymptotics import S_q, _nu_sums
-from largesieve.characters import DirichletCharacter
+from largesieve.characters import DirichletCharacter, conductor, group, primitive_characters
 from largesieve.errors import DomainError
 from largesieve.exceptional import TestFunction, _gauss_legendre_moments
 from largesieve.lsi import CoefficientSequence, InequalityReport, char_sum, make_report
@@ -73,6 +73,54 @@ def rho_weight(n: int | FactoredInt, N: int) -> float:
     for p, _ in f.factors:
         out *= math.log(p) / math.log(N)
     return out
+
+
+# ---------------------------------------------------------------------
+# principal and induced characters
+
+
+def principal_character(q: int) -> DirichletCharacter:
+    g = group(q)
+    return DirichletCharacter(g, (0,) * len(g.components))
+
+
+def induce(chi: DirichletCharacter, modulus: int) -> DirichletCharacter:
+    """The character mod `modulus` agreeing with chi on units.
+
+    chi must be primitive of conductor dividing `modulus`.
+    """
+    q1 = chi.modulus
+    if modulus % q1 != 0:
+        raise DomainError(f"conductor {q1} does not divide modulus {modulus}")
+    big = group(modulus)
+    exps = []
+    for c in big.components:
+        # CRT lift of this component's generator: c.generator at p^e, 1 elsewhere
+        other = modulus // c.prime_power
+        lifted = _crt(c.generator, c.prime_power, 1, other)
+        ph = chi.phase(lifted % q1)
+        if ph is None:
+            raise DomainError("character is not primitive at its own conductor")
+        a = ph * c.order
+        if a.denominator != 1:
+            raise DomainError("character does not lift to the requested modulus")
+        exps.append(int(a) % c.order)
+    return DirichletCharacter(big, tuple(exps))
+
+
+def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
+    inv = pow(m1, -1, m2)
+    return (a1 + m1 * ((a2 - a1) * inv % m2)) % (m1 * m2)
+
+
+def primitive_core(chi: DirichletCharacter) -> DirichletCharacter:
+    """The primitive character inducing chi."""
+    f = conductor(chi)
+    for cand in primitive_characters(f):
+        ind = induce(cand, chi.modulus)
+        if ind == chi:
+            return cand
+    raise RuntimeError("no primitive core found")  # unreachable
 
 
 # ---------------------------------------------------------------------

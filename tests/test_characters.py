@@ -5,10 +5,10 @@ import pytest
 
 from largesieve.arith import euler_phi, factorize, mobius, sieve_primes
 from largesieve.characters import (DirichletCharacter, character_group, chi4,
-                                   conductor, group, induce, is_primitive, primitive_characters,
-                                   primitive_core, principal_character,
+                                   conductor, group, is_primitive, primitive_characters,
                                    real_primitive_characters)
 from largesieve.errors import DomainError
+from oracles import induce, primitive_core, principal_character
 
 
 def test_group_sizes():
@@ -162,6 +162,28 @@ def test_walk_inverts_the_discrete_log():
         assert np.array_equal(comp.dlog[comp.walk], np.arange(comp.order)), m
         units = [n for n in range(1, m) if math.gcd(n, m) == 1]
         assert sorted(comp.walk.tolist()) == units, m
+
+
+def test_walks_and_dlogs_follow_pow():
+    """walk[t] = g^t and n = prod_j g_j^dlog_j(n) (mod p^e), with the powers
+    taken by pow, for every unit n mod every prime power p^e of m."""
+    powers = {}  # (g, p^e) -> pow(g, t, p^e) for t < order
+    for m in [*range(1, 2**12 + 1), 3**7, 5**5, 2**14, 8 * 3**5]:
+        comps = group(m).components
+        for p, e in factorize(m).factors:
+            pe = p**e
+            units = np.arange(pe)
+            units = units[units % p != 0]
+            value = np.ones_like(units)
+            for c in (c for c in comps if c.prime_power == pe):
+                key = (c.generator, pe)
+                if key not in powers:
+                    powers[key] = np.array([pow(c.generator, t, pe) for t in range(c.order)])
+                assert np.array_equal(c.walk, powers[key]), (m, c.kind)
+                exponents = c.dlog[units]
+                assert np.all((exponents >= 0) & (exponents < c.order)), (m, c.kind)
+                value = value * powers[key][exponents] % pe
+            assert np.array_equal(value, units), (m, pe)
 
 
 @pytest.mark.parametrize("q, exponent", [(2, 1), (3, 2), (5, 4), (7, 6), (13, 12), (25, 20)])

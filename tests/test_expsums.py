@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from largesieve.arith import euler_phi, mobius
-from largesieve.characters import (character_group, chi4, conductor, is_primitive,
-                                   principal_character)
+from largesieve.characters import character_group, chi4, conductor, is_primitive
 from largesieve.expsums import ramanujan_sum_divisor, ramanujan_table
-from oracles import e, gauss_sum, ramanujan_sum_exp
+from oracles import e, gauss_sum, principal_character, ramanujan_sum_exp
 
 
 def test_e_basic():

@@ -468,6 +468,19 @@ def test_thm13_matches_the_per_modulus_path(density, monkeypatch):
     assert seen and all(seen) == (density < lsi._SPARSE_BELOW)
 
 
+def test_thm13_builds_each_ramanujan_table_once(monkeypatch):
+    from largesieve import expsums
+    calls = []
+
+    def spy(r, original=expsums.ramanujan_table):
+        calls.append(r)
+        return original(r)
+
+    monkeypatch.setattr(expsums, "ramanujan_table", spy)
+    lsi_thm13(random_sequence(500), 20)
+    assert sorted(calls) == list(range(1, 21))
+
+
 # ---------------------------------------------------------------------
 # char_sum
 
@@ -598,16 +611,13 @@ def test_odd_prime_power_rows_follow_the_conductor_formula():
         assert rows == np.flatnonzero(k % p != 0 if e > 1 else k != 0).tolist(), m
 
 
-def test_lazy_labels_equal_the_eager_product():
+def test_lazy_labels_are_the_primitive_characters():
     rng = np.random.default_rng(32)
     for q in range(1, 301):
         chars, sums = lsi.primitive_char_sums(None, q, rng.standard_normal(q))
         assert len(chars) == sums.size, q
-        powers = [p**e for p, e in factorize(q).factors]
-        eager = group(q).product_characters(
-            [[chi for chi in group(m).characters() if is_primitive(chi)] for m in powers])
-        assert [chi.exponents for chi in chars] == [chi.exponents for chi in eager], q
-        assert list(chars) == eager and chars[-1:] == eager[-1:], q
+        prim = primitive_characters(q)
+        assert list(chars) == prim and chars[-1:] == prim[-1:], q
 
 
 def spy_on_group(monkeypatch, *modules):
