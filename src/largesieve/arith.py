@@ -130,7 +130,7 @@ def factorize(n: int | FactoredInt) -> FactoredInt:
     table = prime_table(math.isqrt(n) + 1)
     m = n
     factors = []
-    for p in table.upto(math.isqrt(n)):
+    for p in table.primes:  # every prime <= isqrt(n); the loop stops at p^2 > m
         p = int(p)
         if p * p > m:
             break

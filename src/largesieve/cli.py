@@ -15,7 +15,7 @@ import re
 import sys
 
 from largesieve import asymptotics, exceptional, lsi
-from largesieve.arith import factorize
+from largesieve.arith import SIEVE_LIMIT_BUDGET, factorize
 from largesieve.characters import chi4, real_primitive_characters
 from largesieve.errors import DomainError, ResourceLimitError
 
@@ -116,10 +116,18 @@ def _integer(text: str) -> int:
 
 
 def validate_args(args) -> None:
-    """Reject inputs that admit no verdict, as a usage error (exit 2)."""
+    """Reject inputs that admit no verdict, as a usage error (exit 2).
+
+    A verify run whose N coefficients exceed SIEVE_LIMIT_BUDGET raises
+    ResourceLimitError (exit 3) here, before any coefficient is drawn.
+    """
     if args.command == "verify":
         if args.N < 1:
             raise DomainError("N must be >= 1")
+        if args.ineq != "eq15" and args.N > SIEVE_LIMIT_BUDGET:
+            raise ResourceLimitError(f"N = {args.N} exceeds budget {SIEVE_LIMIT_BUDGET}")
+        if args.seed < 0:
+            raise DomainError("seed must be >= 0")
         if args.M < 0:
             raise DomainError("M must be >= 0")
         if args.trials < 1:

@@ -354,41 +354,46 @@ def primitive_char_sums(a: CoefficientSequence, q: int, b: np.ndarray | None = N
     """(primitive_characters(q), their coefficient sums), in that order.
 
     b is the residue vector of a mod q when the caller already has it.  Let
-    m_1, ..., m_k be the prime powers of q in factorize order.  A character
-    mod q is a product of characters mod the m_j, and it is primitive
-    exactly when every factor is.  So b is laid out as the CRT tensor
-    B[n_1, ..., n_k] = b_n, n = n_j (mod m_j), and contracted one axis at a
-    time, last axis first, with the primitive characters mod m_j; the
-    character axes come out in group order.  For q = 1 (k = 0) the sum is
-    b[0].
+    m_1, ..., m_k be the prime powers of q in factorize order, with CRT
+    idempotents e_j (1 mod m_j, 0 mod q/m_j).  A character mod q is a
+    product of characters mod the m_j, and it is primitive exactly when
+    every factor is.  So b is gathered once, as the tensor
+    B[t_1, ..., t_k] = b_n with n = sum_j r_j(t_j) e_j mod q, and contracted
+    one axis at a time, last axis first, with the primitive characters mod
+    m_j; the character axes come out in group order.  For q = 1 (k = 0) the
+    sum is b[0].
 
-    An odd m_j has a cyclic unit group with generator g, and its character
-    of exponent k sends g^t to e(kt/phi(m_j)).  So its sums are a discrete
-    Fourier transform of the axis read along the walk g^0, g^1, ..., taken
-    at the rows k whose conductor, by the component's conductor formula, is
-    m_j: O(m_j log m_j) work, and no character object or value table.  The
-    2-adic m_j (4 or 2^e) is contracted with the value matrix of its
-    primitive characters.  Only group(m_j) is built, never group(q): the
-    labels are a PrimitiveCharacters, whose length is known at once and
-    whose members, primitive_characters(q), are built when first read.
+    An odd m_j = p^e has a cyclic unit group with generator g, and its
+    character of exponent k sends g^t to e(kt/phi(m_j)).  So its axis is
+    laid out along the walk, r_j(t) = g^t for t < phi(m_j), and its sums
+    are a discrete Fourier transform of that axis, taken at the rows k with
+    p not dividing k: by the conductor formula these are the exponents of
+    conductor p^e (for e = 1, every k != 0, as k < p - 1).  That is
+    O(m_j log m_j) work, and no character object or value table.  The
+    2-adic m_j (4 or 2^e) keeps r_j(t) = t for t < m_j and is contracted
+    with the value matrix of its primitive characters.  Only group(m_j) is
+    built, never group(q): the labels are a PrimitiveCharacters, whose
+    length is known at once and whose members, primitive_characters(q), are
+    built when first read.
     """
     b = residue_sums(a, q) if b is None else b
-    powers = [p**e for p, e in factorize(q).factors]
+    local_groups = [group(p**e) for p, e in factorize(q).factors]
     n = np.zeros((), dtype=np.int64)
-    for m in powers:
+    for local in local_groups:
+        m = local.modulus
         idempotent = q // m * pow(q // m, -1, m)  # 1 mod m, 0 mod q/m
-        n = np.add.outer(n, np.arange(m) * idempotent) % q
+        r = local.components[0].walk if m % 2 else np.arange(m)
+        n = np.add.outer(n, r * idempotent) % q
     sums = b[n]
     after = 1
-    for j in reversed(range(len(powers))):
-        m = powers[j]
-        local = group(m)
-        axis = sums.reshape(math.prod(powers[:j]), m, after)
-        if m % 2:
+    for j in reversed(range(len(local_groups))):
+        local = local_groups[j]
+        axis = sums.reshape(math.prod(n.shape[:j]), n.shape[j], after)
+        if local.modulus % 2:
             (component,) = local.components
-            rows = np.flatnonzero(component.conductors(np.arange(component.order)) == m)
+            rows = np.flatnonzero(np.arange(component.order) % component.p)
             # norm="forward" leaves the inverse transform, sum x_t e(+kt/n), unscaled
-            sums = np.fft.ifft(axis[:, component.walk, :], axis=1, norm="forward")[:, rows, :]
+            sums = np.fft.ifft(axis, axis=1, norm="forward")[:, rows, :]
         else:
             prim = [chi for chi in local.characters() if is_primitive(chi)]
             sums = np.matmul(local.value_matrix(prim), axis)

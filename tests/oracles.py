@@ -17,6 +17,23 @@ from largesieve.lsi import CoefficientSequence, InequalityReport, char_sum, make
 # pointwise arithmetic functions, one n at a time
 
 
+def factorize_td(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n by trial division by every d >= 2; no prime table."""
+    factors = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
 def divisor_count(n: int | FactoredInt) -> int:
     f = factorize(n)
     out = 1

@@ -11,7 +11,8 @@ from largesieve.arith import (FactoredInt, euler_phi, factorize, mobius, nu,
                               q3_radical, r2_coprime_table, sieve_primes,
                               von_mangoldt_table)
 from largesieve.errors import ResourceLimitError
-from oracles import divisor_count, r2_coprime, rho_weight, von_mangoldt, von_mangoldt_k
+from oracles import (divisor_count, factorize_td, r2_coprime, rho_weight, von_mangoldt,
+                     von_mangoldt_k)
 
 
 def is_prime_td(n):
@@ -120,6 +121,31 @@ def test_factorize():
     assert factorize(12).factors == ((2, 2), (3, 1))
     assert factorize(9991).factors == ((97, 1), (103, 1))
     assert factorize(2**10).factors == ((2, 10),)
+
+
+def test_factorize_matches_trial_division():
+    for n in range(1, 10**5 + 1):
+        assert factorize(n).factors == factorize_td(n), n
+
+
+def test_factorize_edge_cases(monkeypatch):
+    """Prime powers, products of two primes near 10^6, and n whose square root
+    lies just below and just above the limit of the shared prime table, here
+    set to 1000 (997 and 1009 are the primes around it)."""
+    monkeypatch.setattr(arith, "_table", sieve_primes(1000))
+    below = [997**2, 999 * 1001, 1000**2 - 1]  # isqrt(n) + 1 <= 1000: the table as it is
+    above = [1000**2, 1000**2 + 1, 997 * 1009, 1001**2, 1009**2, 1009 * 1013, 2 * 1009**2]
+    for n in below:
+        assert factorize(n).factors == factorize_td(n), n
+    assert arith.prime_table(2).limit == 1000
+    for n in above:
+        assert factorize(n).factors == factorize_td(n), n
+    assert arith.prime_table(2).limit == 2000  # grown once, by doubling
+    assert factorize(1).factors == ()
+    assert factorize(2**40).factors == ((2, 40),)
+    assert factorize(3**30).factors == ((3, 30),)
+    for p, q in [(999983, 1000003), (999979, 999983), (1000003, 1000033)]:
+        assert factorize(p * q).factors == factorize_td(p * q) == ((p, 1), (q, 1))
 
 
 def test_factored_int_invariants():

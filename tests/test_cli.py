@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from largesieve import exceptional
+from largesieve import exceptional, lsi
 from largesieve.characters import primitive_characters
 from largesieve.cli import main
 
@@ -161,6 +161,27 @@ def test_a_window_past_the_sieve_budget_exits_3(capsys):
     # only N = 100 odd n are sieved, but M + N = 10^8 + 1 is over the budget
     code, _ = run_cli(capsys, "scan", "bt", "--N", "1e2", "--M", "99999901")
     assert code == 3
+
+
+def test_verify_past_the_sieve_budget_exits_3_before_drawing(capsys, monkeypatch):
+    """N = 1e9 complex coefficients would take 14.9 GiB; nothing is drawn."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coefficient sequence was built")
+
+    monkeypatch.setattr(lsi, "random_sequence", refuse)
+    code = main(["verify", "--ineq", "bd", "--N", "1e9"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("resource guard: ")
+
+
+def test_negative_seed_is_usage_error(capsys):
+    code = main(["verify", "--ineq", "mvs", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "usage error: seed must be >= 0\n"
 
 
 def test_format_env_var(capsys, monkeypatch):

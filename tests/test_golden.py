@@ -37,6 +37,7 @@ CASES = {
     "verify_thm21": "verify --ineq thm21 --N 2000 --Q 3 --slack 2",
     "verify_bd_ones": "verify --ineq bd --ones --N 400 --Q 10",
     "verify_eq16_ones": "verify --ineq eq16 --ones --N 400 --M 100 --Q 7",
+    "verify_mvs_many_factors": "verify --ineq mvs --N 4e4 --Q 1200 --trials 1 --seed 3",
     "verify_mvs_sabotage": "verify --ineq mvs --ones --N 300 --Q 8 --sabotage",
     "verify_eq15_sabotage": "verify --ineq eq15 --q 12 --X 50 --sabotage",
     "verify_bd_json": "--format json verify --ineq bd --N 100 --Q 4 --trials 2",

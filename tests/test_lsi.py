@@ -595,9 +595,11 @@ def test_only_the_two_adic_factor_uses_a_value_table(monkeypatch):
 
 
 def test_odd_prime_power_rows_follow_the_conductor_formula():
-    """The FFT rows, the is_primitive filter and the rule that the character
-    of exponent k mod p^e is primitive iff p does not divide k (e >= 2), or
-    k != 0 (e = 1).  Each group is built outside the group() memo."""
+    """The oracle of the rows primitive_char_sums keeps after its FFT mod p^e,
+    the k with p not dividing k: they are the k of conductor p^e by the
+    component's conductor formula and by the is_primitive filter, and for
+    e = 1 they are every k != 0.  Each group is built outside the group()
+    memo."""
     for m in range(3, 5001, 2):
         factors = factorize(m).factors
         if len(factors) != 1:
@@ -609,6 +611,7 @@ def test_odd_prime_power_rows_follow_the_conductor_formula():
         rows = np.flatnonzero(component.conductors(k) == m).tolist()
         assert rows == [chi.exponents[0] for chi in g.characters() if is_primitive(chi)], m
         assert rows == np.flatnonzero(k % p != 0 if e > 1 else k != 0).tolist(), m
+        assert rows == np.flatnonzero(k % p).tolist(), m  # one rule for every e
 
 
 def test_lazy_labels_are_the_primitive_characters():
