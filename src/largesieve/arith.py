@@ -161,14 +161,6 @@ def mobius(n: int | FactoredInt) -> int:
     return -1 if len(f.factors) % 2 else 1
 
 
-def squarefree_divisors(n: int | FactoredInt) -> list[int]:
-    f = factorize(n)
-    divs = [1]
-    for p, _ in f.factors:
-        divs += [d * p for d in divs]
-    return divs
-
-
 def nu(n: int | FactoredInt) -> int:
     """1 iff n is squarefree with every prime factor = 3 (mod 4); nu(1) = 1."""
     f = factorize(n)

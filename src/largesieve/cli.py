@@ -118,14 +118,16 @@ def _integer(text: str) -> int:
 def validate_args(args) -> None:
     """Reject inputs that admit no verdict, as a usage error (exit 2).
 
-    A verify run whose N coefficients exceed SIEVE_LIMIT_BUDGET raises
-    ResourceLimitError (exit 3) here, before any coefficient is drawn.
+    A verify run whose N, eq15 range X or prop21 range R exceeds
+    SIEVE_LIMIT_BUDGET raises ResourceLimitError (exit 3) here, before any work.
     """
     if args.command == "verify":
         if args.N < 1:
             raise DomainError("N must be >= 1")
-        if args.ineq != "eq15" and args.N > SIEVE_LIMIT_BUDGET:
-            raise ResourceLimitError(f"N = {args.N} exceeds budget {SIEVE_LIMIT_BUDGET}")
+        for name in {"eq15": ("X",), "prop21": ("N", "R")}.get(args.ineq, ("N",)):
+            if math.inf > getattr(args, name) > SIEVE_LIMIT_BUDGET:
+                raise ResourceLimitError(
+                    f"{name} = {getattr(args, name)} exceeds budget {SIEVE_LIMIT_BUDGET}")
         if args.seed < 0:
             raise DomainError("seed must be >= 0")
         if args.M < 0:

@@ -1,18 +1,17 @@
 """Large sieve inequality evaluators.
 
 Each evaluator computes the exact left and right sides of one inequality
-for a concrete coefficient sequence and returns an InequalityReport.  Every
-left side is a weighted sum of primitive energies E(q; b), the sum of
-|S(chi)|^2 over the primitive chi mod q of a residue vector b, and each is
-one call of primitive_energy: sieve_lhs weights E(q; a mod q) over a
-q-range, thm12 sums E over the conductors of each modulus and thm13 over
-Ramanujan-twisted folds.  Every b comes from residue_folds, which reads the
-coefficients only for the moduli in (top/2, top], two of them at a time
-(mod their lcm L) when 4 L is at most the entries a read touches, and folds
-the others from them; with Q^2 << N that halves the passes over the
-coefficients (bd at N = 1e6, Q = 150: 0.185 -> 0.135 s end to end).  Each E
-is summed in character order and kept as a Python float, and the terms are
-added in a fixed order, so results are reproducible bit for bit.
+for a concrete coefficient sequence and returns an InequalityReport.
+sieve_lhs weights primitive energies E(q; a mod q), the sum of |S(chi)|^2
+over the primitive chi mod q, over a q-range, and thm13 weights E of
+Ramanujan-twisted folds; thm12 and eq14 are one additive sieve over the
+reduced fractions x/q (reduced_fraction_lhs).  Every residue vector comes
+from residue_folds, which reads the coefficients only for the moduli in
+(top/2, top], two of them at a time (mod their lcm L) when 4 L is at most
+the entries a read touches, and folds the others from them; with Q^2 << N
+that halves the passes over the coefficients (bd at N = 1e6, Q = 150:
+0.185 -> 0.135 s end to end).  Each term is a Python float, and the terms
+are added in a fixed order, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -428,6 +427,25 @@ def sieve_lhs(a: CoefficientSequence, weight, qs) -> float:
     return lhs
 
 
+def reduced_fraction_lhs(a: CoefficientSequence, moduli) -> float:
+    """sum over q in moduli and chi mod q of |tau(chi) S(chi)|^2 / phi(q).
+
+    S(chi) sums c = a mod q zeroed off the units.  By Gauss-sum duality
+    (Davenport, Multiplicative Number Theory, ch. 27) the term of q is the
+    sum of |fft(c)[x]|^2 over the units x, the additive sieve at the reduced
+    fractions x/q.  The terms are added as floats in the order of moduli.
+    """
+    terms = {}
+    for q, b in residue_folds(a, moduli):
+        units = np.gcd(np.arange(q), q) == 1
+        s = np.fft.fft(b * units)[units]
+        terms[q] = float(np.vdot(s, s).real)
+    lhs = 0.0
+    for q in moduli:
+        lhs += terms[q]
+    return lhs
+
+
 def _moduli(Q: int) -> range:
     """The moduli q = 1..Q of a sieve, after checking Q >= 1."""
     if Q < 1:
@@ -471,10 +489,6 @@ def lsi_thm12(a: CoefficientSequence, moduli, excluded_primes) -> InequalityRepo
 
     Both the moduli and the coefficient support must avoid every prime in
     excluded_primes; all characters mod q enter, weighted |tau(chi)|^2/phi(q).
-    A chi mod q induced from conductor f has |tau(chi)|^2 = f mu^2(q/f) when
-    (f, q/f) = 1 and 0 otherwise, and S(chi) is the sum of its primitive
-    character over b mod q with the residues not coprime to q zeroed, folded
-    to mod f.  So the term of q is the sum of f E(f) / phi(q) over those f.
     """
     moduli = sorted(int(q) for q in moduli)
     P = frozenset(int(p) for p in excluded_primes)
@@ -482,18 +496,7 @@ def lsi_thm12(a: CoefficientSequence, moduli, excluded_primes) -> InequalityRepo
         if any(q % p == 0 for p in P):
             raise DomainError(f"modulus {q} has a prime divisor in the excluded set")
     SupportRestriction.prime_free(P).validate(a, "thm12")
-    energy = {}
-    for q, b in residue_folds(a, moduli):
-        b = b * (np.gcd(np.arange(q), q) == 1)
-        total = 0.0
-        for d in arith.squarefree_divisors(q):
-            f = q // d
-            if math.gcd(f, d) == 1:
-                total += f * primitive_energy(a, f, fold(b, f))
-        energy[q] = total / euler_phi(q)
-    lhs = 0.0
-    for q in moduli:
-        lhs += energy[q]
+    lhs = reduced_fraction_lhs(a, moduli)
     Q = max(moduli, default=0)
     rhs = (math.sqrt(a.N) + Q) ** 2 * a.norm_sq
     return make_report("thm12", _params(a, Q=Q, num_moduli=len(moduli),
@@ -501,11 +504,14 @@ def lsi_thm12(a: CoefficientSequence, moduli, excluded_primes) -> InequalityRepo
 
 
 def lsi_eq14(a: CoefficientSequence, Q: int) -> InequalityReport:
-    """Induced-character double sum with weights q mu^2(r) / phi(qr)."""
+    """Induced-character double sum with weights q mu^2(r) / phi(qr).
+
+    On rough support (no prime <= Q divides an n with a_n != 0) it is thm12's
+    sum over m = qr <= Q: chi mod m induced from a primitive chi mod q has
+    |tau|^2 = q mu^2(r) when (q, r) = 1 and 0 otherwise.
+    """
     SupportRestriction.rough(Q).validate(a, "eq14")
-    lhs = sieve_lhs(
-        a, lambda q: q / euler_phi(q) * _squarefree_phi_sum(range(1, Q // q + 1), q),
-        _moduli(Q))
+    lhs = reduced_fraction_lhs(a, _moduli(Q))
     rhs = (math.sqrt(a.N) + Q) ** 2 * a.norm_sq
     return make_report("eq14", _params(a, Q=Q), lhs, rhs)
 

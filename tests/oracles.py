@@ -5,9 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from largesieve.arith import FactoredInt, factorize, mobius, q3_radical, squarefree_divisors
+from largesieve.arith import FactoredInt, factorize, mobius, q3_radical
 from largesieve.asymptotics import S_q, _nu_sums
-from largesieve.characters import DirichletCharacter, conductor, group, primitive_characters
+from largesieve.characters import (DirichletCharacter, character_group, conductor, group,
+                                   is_primitive, primitive_characters)
 from largesieve.errors import DomainError
 from largesieve.exceptional import TestFunction, _gauss_legendre_moments
 from largesieve.lsi import CoefficientSequence, InequalityReport, char_sum, make_report
@@ -32,6 +33,26 @@ def factorize_td(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         factors.append((n, 1))
     return tuple(factors)
+
+
+def euler_phi_td(n: int) -> int:
+    out = n
+    for p, _ in factorize_td(n):
+        out = out // p * (p - 1)
+    return out
+
+
+def mobius_td(n: int) -> int:
+    f = factorize_td(n)
+    return 0 if any(e >= 2 for _, e in f) else (-1) ** len(f)
+
+
+def squarefree_divisors(n: int | FactoredInt) -> list[int]:
+    f = factorize(n)
+    divs = [1]
+    for p, _ in f.factors:
+        divs += [d * p for d in divs]
+    return divs
 
 
 def divisor_count(n: int | FactoredInt) -> int:
@@ -154,12 +175,31 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     """tau(chi) = sum over u mod q of chi(u) e(u/q).
 
     Computed by definition for every character, imprimitive ones included:
-    it is the oracle for the closed form of |tau(chi)|^2 that lsi_thm12 uses.
+    it is the oracle for the closed form of |tau(chi)|^2, and for the
+    Gauss-sum duality by which lsi_thm12 needs no tau(chi).
     """
     q = chi.modulus
     values = chi.values()
     phases = np.exp(2j * np.pi * np.arange(q) / q)
     return complex(values @ phases)
+
+
+def eq14_lhs(a: CoefficientSequence, Q: int) -> float:
+    """eq14's left side from its stated double sum, one chi(n) at a time.
+
+    The sum over q r <= Q with (q, r) = 1 of q mu^2(r) / phi(q r) times
+    sum over primitive chi mod q of |sum_n a_n chi(n)|^2, with mu and phi by
+    trial division.  O(N sum phi(q)) work.
+    """
+    ns, vals = a.nonzero
+    total = 0.0
+    for q in range(1, Q + 1):
+        energy = sum(abs(sum(v * chi(int(n)) for n, v in zip(ns, vals))) ** 2
+                     for chi in character_group(q) if is_primitive(chi))
+        for r in range(1, Q // q + 1):
+            if math.gcd(q, r) == 1:
+                total += q * mobius_td(r) ** 2 / euler_phi_td(q * r) * energy
+    return total
 
 
 def ramanujan_sum_exp(r: int, n: int) -> complex:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from largesieve import exceptional, lsi
+from largesieve import cli, exceptional, lsi
 from largesieve.characters import primitive_characters
 from largesieve.cli import main
 
@@ -170,6 +170,22 @@ def test_verify_past_the_sieve_budget_exits_3_before_drawing(capsys, monkeypatch
 
     monkeypatch.setattr(lsi, "random_sequence", refuse)
     code = main(["verify", "--ineq", "bd", "--N", "1e9"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("resource guard: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--ineq", "eq15", "--X", "1e12"],  # would factorize every r <= X
+    ["verify", "--ineq", "prop21", "--R", "1000000000"],  # would list 1..R
+])
+def test_ranges_past_the_budget_exit_3_before_any_work(argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify work started")
+
+    monkeypatch.setattr(cli, "cmd_verify", refuse)
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

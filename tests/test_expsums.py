@@ -41,7 +41,8 @@ def test_gauss_modulus_law():
 
 def test_gauss_modulus_closed_form():
     # chi mod q induced from conductor f: |tau(chi)|^2 = f mu^2(q/f) if (f, q/f) = 1,
-    # else 0 (Montgomery-Vaughan, ch. 9).  lsi_thm12 computes its weights this way.
+    # else 0 (Montgomery-Vaughan, ch. 9).  On rough support this gives lsi_eq14's
+    # weights q mu^2(r) / phi(qr) from the character sum that lsi_thm12 computes.
     checked = 0
     for q in range(1, 301):
         for chi in character_group(q):

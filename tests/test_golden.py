@@ -7,7 +7,9 @@ relative GOLDEN_REL_TOL.  Cells such as ``extra_params`` that pack
 ``key=value`` pairs are compared pair by pair.
 
 Re-record (only for an intended change of output) with
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME...]
+which rewrites the files of the named cases, or of every case when no name
+is given.  An unknown name rewrites nothing and exits nonzero.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,7 +31,11 @@ CASES = {
     "verify_mvs": "verify --ineq mvs --N 300 --Q 8 --trials 2 --seed 3",
     "verify_bd": "verify --ineq bd --N 300 --M 17 --Q 8 --trials 2 --seed 1",
     "verify_thm12": "verify --ineq thm12 --N 200 --Q 10 --P 2,3 --trials 2",
+    # moduli 2^k, q = 2 (mod 4), 25 and 49
+    "verify_thm12_even": "verify --ineq thm12 --N 2e4 --Q 60 --P 3 --trials 1",
     "verify_eq14": "verify --ineq eq14 --N 300 --Q 6 --trials 2",
+    # Q >= 12, so eq14's weight sees (r, q) = 1 at pairs with E(q) != 0
+    "verify_eq14_Q30": "verify --ineq eq14 --N 3000 --Q 30 --trials 1",
     "verify_eq15": "verify --ineq eq15 --q 6 --X 100",
     "verify_eq16": "verify --ineq eq16 --N 300 --Q 6 --trials 2",
     "verify_thm13": "verify --ineq thm13 --N 200 --Q 6 --trials 2",
@@ -101,14 +108,18 @@ def test_golden(name, capsys):
         assert all(map(_same_cell, gc, wc)), (g, w)
 
 
-def record() -> None:
+def record(names) -> None:
+    """Rewrite the golden files of the named cases, all of them when names is empty."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden case: {', '.join(unknown)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
+    for name in names or CASES:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = main(argv.split())
+            code = main(CASES[name].split())
         (GOLDEN_DIR / f"{name}.txt").write_text(f"exit {code}\n{buf.getvalue()}")
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

@@ -448,6 +448,18 @@ def test_thm12_matches_the_per_modulus_path(density, P, moduli, monkeypatch):
     assert seen and all(seen) == (density < lsi._SPARSE_BELOW)
 
 
+def test_thm12_and_eq14_read_no_character_sum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a character sum or eq14 weight was computed")
+
+    for name in ("primitive_energy", "primitive_char_sums", "_squarefree_phi_sum"):
+        monkeypatch.setattr(lsi, name, refuse)
+    a = random_sequence(3000, seed=25, restriction=SupportRestriction.rough(30))
+    assert lsi_eq14(a, 30).passed
+    a = random_sequence(3000, seed=25, restriction=SupportRestriction.prime_free({3}))
+    assert lsi_thm12(a, [q for q in range(1, 61) if q % 3], {3}).passed
+
+
 @pytest.mark.parametrize("density", DENSITIES)
 def test_thm13_matches_the_per_modulus_path(density, monkeypatch):
     from largesieve.expsums import ramanujan_table
@@ -896,6 +908,18 @@ def test_eq14_prime_support():
     vals[ps - 26] = 1.0
     rep = lsi_eq14(CoefficientSequence(25, vals), 5)
     assert rep.passed
+
+
+@pytest.mark.parametrize("Q", [12, 30])
+def test_eq14_matches_its_double_sum(Q):
+    from oracles import eq14_lhs
+    restriction = SupportRestriction.rough(Q)
+    cases = [random_sequence(300, M=M, seed=24, trial=t, restriction=restriction)
+             for t, M in enumerate([0, 97, 1000])]
+    ones = CoefficientSequence.ones(300, 40)
+    restriction.zero_forbidden(ones.values, ones.M)
+    for a in [*cases, ones]:
+        assert lsi_eq14(a, Q).lhs == pytest.approx(eq14_lhs(a, Q), rel=1e-12, abs=0.0)
 
 
 def test_eq15_examples():
