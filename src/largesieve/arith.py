@@ -180,6 +180,23 @@ def q3_radical(q: int | FactoredInt) -> FactoredInt:
     return FactoredInt(out, tuple((p, 1) for p in ps))
 
 
+def squarefree_inverse_phi(n: int) -> np.ndarray:
+    """w[r] = 1/phi(r) at every squarefree r <= n, and 0.0 elsewhere (w[0] too).
+
+    One strided pass per prime p <= n multiplies phi[p::p] by p - 1 and zeroes
+    phi[p*p::p*p].  phi(r) stays an exact integer in float64, so each entry is
+    the correctly rounded 1.0 / euler_phi(r).
+    """
+    if n > SIEVE_LIMIT_BUDGET:
+        raise ResourceLimitError(f"table size {n} exceeds budget {SIEVE_LIMIT_BUDGET}")
+    phi = np.ones(n + 1)
+    phi[0] = 0.0
+    for p in prime_table(n).upto(n):
+        phi[p::p] *= p - 1
+        phi[p * p::p * p] = 0.0
+    return np.reciprocal(phi, out=phi, where=phi != 0.0)
+
+
 def r2_coprime_table(n_max: int) -> np.ndarray:
     """r2(n) for every n <= n_max in one pass (int64 array).
 

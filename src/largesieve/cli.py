@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
@@ -119,15 +118,19 @@ def validate_args(args) -> None:
     """Reject inputs that admit no verdict, as a usage error (exit 2).
 
     A verify run whose N, eq15 range X or prop21 range R exceeds
-    SIEVE_LIMIT_BUDGET raises ResourceLimitError (exit 3) here, before any work.
+    SIEVE_LIMIT_BUDGET, or whose Q exceeds its square root (the residue vectors
+    of the moduli q <= Q hold about Q^2/2 entries), raises ResourceLimitError
+    (exit 3) here, before any work.
     """
     if args.command == "verify":
         if args.N < 1:
             raise DomainError("N must be >= 1")
-        for name in {"eq15": ("X",), "prop21": ("N", "R")}.get(args.ineq, ("N",)):
-            if math.inf > getattr(args, name) > SIEVE_LIMIT_BUDGET:
+        budget = {"N": SIEVE_LIMIT_BUDGET, "X": SIEVE_LIMIT_BUDGET, "R": SIEVE_LIMIT_BUDGET,
+                  "Q": math.isqrt(SIEVE_LIMIT_BUDGET)}
+        for name in {"eq15": ("X",), "prop21": ("N", "R", "Q")}.get(args.ineq, ("N", "Q")):
+            if math.inf > getattr(args, name) > budget[name]:
                 raise ResourceLimitError(
-                    f"{name} = {getattr(args, name)} exceeds budget {SIEVE_LIMIT_BUDGET}")
+                    f"{name} = {getattr(args, name)} exceeds budget {budget[name]}")
         if args.seed < 0:
             raise DomainError("seed must be >= 0")
         if args.M < 0:
@@ -199,10 +202,9 @@ def cmd_verify(args) -> list[dict]:
         for seq in _verify_sequences(args, restriction):
             reports.append(lsi.lsi_thm12(seq, moduli, P))
     elif ineq == "prop21":
-        R_set = list(range(1, args.R + 1))
-        restriction = lsi.SupportRestriction.coprime_to(R_set)
+        restriction = lsi.SupportRestriction.rough(args.R)
         for seq in _verify_sequences(args, restriction):
-            reports.append(lsi.lsi_prop21(seq, args.Q, R_set, args.R))
+            reports.append(lsi.lsi_prop21(seq, args.Q, args.R))
     elif ineq == "prop22":
         for seq in _verify_sequences(args):
             reports.append(lsi.lsi_prop22(seq, args.Q, alpha=args.alpha))
@@ -324,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="largesieve",
         description="Verify large sieve inequalities and related asymptotics.")
-    parser.add_argument("--format", choices=["csv", "json"],
-                        default=os.environ.get("LARGESIEVE_FORMAT", "csv"))
+    parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -155,14 +155,6 @@ class SupportRestriction:
         """No prime divisors <= Q."""
         return cls.prime_free(int(p) for p in prime_table(max(Q, 2)).upto(Q))
 
-    @classmethod
-    def coprime_to(cls, moduli) -> SupportRestriction:
-        """gcd(n, r) = 1 for every r in moduli: n avoids the primes dividing them."""
-        moduli = [int(r) for r in moduli]
-        if any(r < 1 for r in moduli):
-            raise DomainError("coprime_to needs moduli r >= 1")
-        return cls(frozenset(p for r in moduli for p in factorize(r).prime_factors))
-
     def allowed_mask(self, n: np.ndarray) -> np.ndarray:
         """True where no prime of the restriction divides n, for integers n.
 
@@ -453,17 +445,11 @@ def _moduli(Q: int) -> range:
     return range(1, Q + 1)
 
 
-def _squarefree_phi_sum(rs, q: int) -> float:
-    """sum over squarefree r in rs with (r, q) = 1 of 1/phi(r), in the order of rs."""
-    total = 0.0
-    for r in rs:
-        if math.gcd(r, q) != 1:
-            continue
-        f = factorize(r)
-        if any(e >= 2 for _, e in f.factors):
-            continue
-        total += 1.0 / euler_phi(f)
-    return total
+def _coprime_total(w: np.ndarray, q: int) -> float:
+    """Sum of w[r] over the r coprime to q, added in ascending r; w is overwritten."""
+    for p in factorize(q).prime_factors:
+        w[::p] = 0.0
+    return float(np.add.accumulate(w, out=w)[-1])
 
 
 # ---------------------------------------------------------------------
@@ -519,11 +505,12 @@ def lsi_eq14(a: CoefficientSequence, Q: int) -> InequalityReport:
 def check_eq15(q: int, X: float) -> InequalityReport:
     """Lower bound sum over squarefree r <= X coprime to q of 1/phi(r).
 
-    Reversed direction: pass means lhs >= rhs (1 - tol).
+    Read off arith.squarefree_inverse_phi(floor(X)), the one array of X + 1
+    floats held.  Reversed direction: pass means lhs >= rhs (1 - tol).
     """
     if not 1 <= X < math.inf:
         raise DomainError("X must be a finite number >= 1")
-    lhs = _squarefree_phi_sum(range(1, math.floor(X) + 1), q)
+    lhs = _coprime_total(arith.squarefree_inverse_phi(math.floor(X)), q)
     rhs = euler_phi(q) / q * math.log(X)
     return make_report("eq15", {"q": q, "X": X}, lhs, rhs, direction="ge")
 
@@ -566,44 +553,25 @@ def lsi_thm13(a: CoefficientSequence, Q: int) -> InequalityReport:
 # restricted-support machinery (Section 2)
 
 
-def script_L_q(q: int, R_set) -> float:
-    """(q/phi(q)) * sum over squarefree r in R_set coprime to q of 1/phi(r)."""
-    return q / euler_phi(q) * _squarefree_phi_sum(sorted(int(r) for r in R_set), q)
+def script_L(Q: int, w: np.ndarray) -> float:
+    """min over q <= Q of (q/phi(q)) * sum over the r in a set coprime to q of w[r].
+
+    w is arith.squarefree_inverse_phi zeroed off the set.
+    """
+    return min(q / euler_phi(q) * _coprime_total(w.copy(), q) for q in _moduli(Q))
 
 
-def script_L(Q: int, R_set) -> float:
-    """Minimum of script_L_q over q <= Q."""
-    return min(script_L_q(q, R_set) for q in _moduli(Q))
-
-
-def lsi_prop21(a: CoefficientSequence, Q: int, R_set, R: int) -> InequalityReport:
-    """Unit-weight sieve for support coprime to every element of R_set."""
+def lsi_prop21(a: CoefficientSequence, Q: int, R: int) -> InequalityReport:
+    """Unit-weight sieve for support coprime to every r in {1, ..., R} (R-rough)."""
     qs = _moduli(Q)
-    R_set = sorted(int(r) for r in R_set)
-    if any(r > R for r in R_set):
-        raise DomainError(f"R_set contains an element above R = {R}")
-    SupportRestriction.coprime_to(R_set).validate(a, "prop21")
+    if R < 1:
+        raise DomainError("R must be >= 1")
+    SupportRestriction.rough(R).validate(a, "prop21")
     lhs = sieve_lhs(a, lambda q: 1.0, qs)
-    L = script_L(Q, R_set)
+    L = script_L(Q, arith.squarefree_inverse_phi(R))
     rhs = math.inf if L == 0 else (Q * Q * R * R + a.N) / L * a.norm_sq
-    return make_report("prop21", _params(a, Q=Q, R=R, R_set_size=len(R_set)),
+    return make_report("prop21", _params(a, Q=Q, R=R, R_set_size=R),
                        lhs, rhs, extras={"script_L": L})
-
-
-def nu_supported_upto(R: float) -> list[int]:
-    """Squarefree products of primes = 3 (mod 4) up to R (1 included)."""
-    ps = [int(p) for p in prime_table(max(int(R), 2)).upto(R) if p % 4 == 3]
-    out = [1]
-    stack = [(0, 1)]
-    while stack:
-        start, n = stack.pop()
-        for j in range(start, len(ps)):
-            m = n * ps[j]
-            if m > R:
-                break
-            out.append(m)
-            stack.append((j + 1, m))
-    return sorted(out)
 
 
 def lsi_prop22(a: CoefficientSequence, Q: int, alpha: float = 1.0) -> InequalityReport:
@@ -630,10 +598,13 @@ def lsi_prop22(a: CoefficientSequence, Q: int, alpha: float = 1.0) -> Inequality
     denom = math.sqrt(math.log(N / (Q * Q)))
     rhs = 2 * N / denom * float(np.sum(r_n**2 * np.abs(values) ** 2))
     R = math.sqrt(N) / Q
-    R_set = nu_supported_upto(R)
+    w = arith.squarefree_inverse_phi(math.floor(R))
+    for p in prime_table(max(R, 2)).upto(R):
+        if p % 4 != 3:
+            w[::p] = 0.0  # what is left is the nu-supported r <= R
     return make_report("prop22", _params(a, Q=Q, alpha=alpha), lhs, rhs,
-                       extras={"R": R, "R_set": R_set,
-                               "script_L": script_L(Q, R_set)})
+                       extras={"R": R, "R_set_size": int(np.count_nonzero(w)),
+                               "script_L": script_L(Q, w)})
 
 
 # ---------------------------------------------------------------------

@@ -47,6 +47,20 @@ def mobius_td(n: int) -> int:
     return 0 if any(e >= 2 for _, e in f) else (-1) ** len(f)
 
 
+def squarefree_inverse_phi_sum(rs, q: int) -> float:
+    """Sum of 1/phi(r) over the r in rs with mu(r) != 0 and gcd(r, q) = 1, added in ascending r."""
+    total = 0.0
+    for r in sorted(rs):
+        if mobius_td(r) != 0 and math.gcd(r, q) == 1:
+            total += 1.0 / euler_phi_td(r)
+    return total
+
+
+def script_L_sum(Q: int, rs) -> float:
+    """min over q <= Q of (q/phi(q)) times the sum above over rs."""
+    return min(q / euler_phi_td(q) * squarefree_inverse_phi_sum(rs, q) for q in range(1, Q + 1))
+
+
 def squarefree_divisors(n: int | FactoredInt) -> list[int]:
     f = factorize(n)
     divs = [1]

@@ -37,7 +37,6 @@ def _suite1_instances(name, trials=200):
     combos = _grid()
     P = frozenset({2, 3, 5})
     R = 5
-    R_set = list(range(1, R + 1))
 
     def build(N, Q, M, trial, ones=False):
         if name in ("eq14", "eq16"):
@@ -45,7 +44,7 @@ def _suite1_instances(name, trials=200):
         elif name == "thm12":
             restriction = SupportRestriction.prime_free(P)
         elif name == "prop21":
-            restriction = SupportRestriction.coprime_to(R_set)
+            restriction = SupportRestriction.rough(R)
         else:
             restriction = None
         if ones:
@@ -71,7 +70,7 @@ def _suite1_instances(name, trials=200):
         if name == "thm13":
             return lsi.lsi_thm13(seq, Q)
         if name == "prop21":
-            return lsi.lsi_prop21(seq, Q, R_set, R)
+            return lsi.lsi_prop21(seq, Q, R)
         raise AssertionError(name)
 
     for trial in range(trials):

@@ -255,6 +255,24 @@ def r2_brute(n):
     return count
 
 
+def test_squarefree_inverse_phi_matches_trial_division():
+    from oracles import euler_phi_td, mobius_td
+    n = 10**4
+    w = arith.squarefree_inverse_phi(n)
+    assert w.dtype == np.float64 and w.shape == (n + 1,) and w[0] == 0.0
+    for r in range(1, n + 1):
+        assert w[r] == (1.0 / euler_phi_td(r) if mobius_td(r) else 0.0), r
+    for m in range(40):
+        assert np.array_equal(arith.squarefree_inverse_phi(m), w[: m + 1])
+
+
+def test_squarefree_inverse_phi_budget(monkeypatch):
+    monkeypatch.setattr(arith, "SIEVE_LIMIT_BUDGET", 1000)
+    assert arith.squarefree_inverse_phi(1000).shape == (1001,)
+    with pytest.raises(ResourceLimitError):
+        arith.squarefree_inverse_phi(1001)
+
+
 def test_r2_coprime():
     assert r2_coprime(1) == 4
     assert r2_coprime(5) == 8

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from largesieve import asymptotics as asy
-from largesieve.arith import factorize, nu, q3_radical
+from largesieve.arith import euler_phi, factorize, nu, q3_radical
 from largesieve.errors import DomainError
 from oracles import T_q, convolution_identity_check, count_nu_tau, divisor_count
 
@@ -160,12 +160,12 @@ def test_T_lower_bound_shape():
 
 
 def test_script_L_sqrt_log_shape():
-    from largesieve.lsi import nu_supported_upto, script_L
+    from largesieve.lsi import script_L
     kappas = {}
     for R in (100, 1000):
-        R_set = nu_supported_upto(R)
+        w = np.array([1 / euler_phi(r) if r and nu(r) else 0.0 for r in range(R + 1)])
         for Q in (5, 20):
-            kappas[(Q, R)] = script_L(Q, R_set) / math.sqrt(math.log(R))
+            kappas[(Q, R)] = script_L(Q, w) / math.sqrt(math.log(R))
     assert all(k > 0.5 for k in kappas.values())
 
 

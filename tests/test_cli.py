@@ -177,8 +177,9 @@ def test_verify_past_the_sieve_budget_exits_3_before_drawing(capsys, monkeypatch
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--ineq", "eq15", "--X", "1e12"],  # would factorize every r <= X
-    ["verify", "--ineq", "prop21", "--R", "1000000000"],  # would list 1..R
+    ["verify", "--ineq", "eq15", "--X", "1e12"],  # a table of 1/phi(r) for r <= X
+    ["verify", "--ineq", "prop21", "--R", "1000000000"],  # the same table up to R
+    ["verify", "--ineq", "mvs", "--N", "10", "--Q", "1e9"],  # residue vectors of ~Q^2/2 entries
 ])
 def test_ranges_past_the_budget_exit_3_before_any_work(argv, capsys, monkeypatch):
     def refuse(*args, **kwargs):
@@ -192,20 +193,19 @@ def test_ranges_past_the_budget_exit_3_before_any_work(argv, capsys, monkeypatch
     assert captured.err.startswith("resource guard: ")
 
 
+@pytest.mark.parametrize("Q, code", [(10**4, 0), (10**4 + 1, 3)])
+def test_Q_budget_is_the_square_root_of_the_sieve_budget(Q, code, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: [{"pass": True}])
+    assert main(["verify", "--ineq", "bd", "--Q", str(Q)]) == code
+    assert capsys.readouterr().err.startswith("resource guard: ") == (code == 3)
+
+
 def test_negative_seed_is_usage_error(capsys):
     code = main(["verify", "--ineq", "mvs", "--seed", "-1"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err == "usage error: seed must be >= 0\n"
-
-
-def test_format_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("LARGESIEVE_FORMAT", "json")
-    code, out = run_cli(capsys, "verify", "--ineq", "bd", "--N", "50",
-                        "--Q", "2", "--trials", "2", "--seed", "1")
-    assert code == 0
-    assert json.loads(out)[0]["inequality"] == "bd"
 
 
 def test_out_file(tmp_path, capsys):

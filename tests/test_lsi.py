@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from largesieve import lsi
-from largesieve.arith import euler_phi, factorize, prime_table
+from largesieve import arith, lsi
+from largesieve.arith import euler_phi, factorize, nu, prime_table
 from largesieve.characters import (CharacterGroup, character_group, chi4, group,
                                    is_primitive, primitive_characters)
 from largesieve.errors import DomainError, SupportError
@@ -14,7 +14,7 @@ from largesieve.lsi import (CoefficientSequence, SupportRestriction, brun_titchm
                             char_sum, check_eq15, lsi_bd, lsi_eq14, lsi_eq16,
                             lsi_mvs, lsi_prop21, lsi_prop22, lsi_thm12, lsi_thm13,
                             lsi_thm21, make_report, random_sequence, script_L,
-                            script_L_q, thm21_conditions)
+                            thm21_conditions)
 
 
 def vm_sqrt_coeffs(N):
@@ -49,7 +49,7 @@ def test_support_restriction_masks():
     rough = SupportRestriction.rough(5)
     allowed = n[rough.allowed_mask(n)]
     assert list(allowed) == [1, 7, 11, 13, 17, 19, 23, 29]
-    cop = SupportRestriction.coprime_to([4, 9])
+    cop = SupportRestriction.prime_free([2, 3])
     assert list(n[cop.allowed_mask(n)]) == [k for k in range(1, 31)
                                             if math.gcd(k, 4) == 1 and math.gcd(k, 9) == 1]
     n = np.arange(1, 10**4 + 1)
@@ -57,12 +57,11 @@ def test_support_restriction_masks():
         by_gcd = np.ones(n.size, dtype=bool)
         for r in R:
             by_gcd &= np.gcd(n, r) == 1
-        assert np.array_equal(SupportRestriction.coprime_to(R).allowed_mask(n), by_gcd)
-    for R in range(1, 31):
-        assert SupportRestriction.coprime_to(range(1, R + 1)) == SupportRestriction.rough(R)
-    for bad in ([0], [-3]):
-        with pytest.raises(DomainError):
-            SupportRestriction.coprime_to(bad)
+        primes = {p for r in R for p in factorize(r).prime_factors}
+        assert np.array_equal(SupportRestriction.prime_free(primes).allowed_mask(n), by_gcd)
+    for R in range(1, 31):  # prop21's support: coprime to every r <= R
+        by_gcd = np.gcd(n, math.lcm(*range(1, R + 1))) == 1
+        assert np.array_equal(SupportRestriction.rough(R).allowed_mask(n), by_gcd)
     assert SupportRestriction().allowed_mask(n).all()
 
 
@@ -452,7 +451,7 @@ def test_thm12_and_eq14_read_no_character_sum(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a character sum or eq14 weight was computed")
 
-    for name in ("primitive_energy", "primitive_char_sums", "_squarefree_phi_sum"):
+    for name in ("primitive_energy", "primitive_char_sums", "_coprime_total"):
         monkeypatch.setattr(lsi, name, refuse)
     a = random_sequence(3000, seed=25, restriction=SupportRestriction.rough(30))
     assert lsi_eq14(a, 30).passed
@@ -929,6 +928,13 @@ def test_eq15_examples():
     assert check_eq15(2, 10**4).passed
 
 
+@pytest.mark.parametrize("X", [1, 2, 97, 123.9, 500])
+def test_eq15_matches_its_sum(X):
+    from oracles import squarefree_inverse_phi_sum
+    for q in range(1, 31):
+        assert check_eq15(q, X).lhs == squarefree_inverse_phi_sum(range(1, math.floor(X) + 1), q)
+
+
 def test_eq16():
     rep = lsi_eq16(random_sequence(30, seed=8, trial=0,
                                    restriction=SupportRestriction.rough(1)), 1)
@@ -983,41 +989,56 @@ def test_thm13_Q1():
 
 
 def test_script_L_values():
-    assert script_L_q(1, {1}) == 1.0
-    assert script_L(1, {1}) == 1.0
-    # against Eq 1.5's lower bound with R_set = all r <= R
-    for q in (1, 2, 6):
-        for R in (10, 100):
-            val = script_L_q(q, range(1, R + 1))
-            assert val >= euler_phi(q) / q * math.log(R) * (q / euler_phi(q)) - 1e-12
-    assert script_L(10, range(1, 101)) >= math.log(100) - 1e-12
+    one = np.array([0.0, 1.0])  # the set {1}
+    assert script_L(1, one) == 1.0
+    assert script_L(6, one) == 1.0
+    # every q <= 6 against Eq 1.5's lower bound, with the set all r <= R
+    for R in (10, 100):
+        assert script_L(6, arith.squarefree_inverse_phi(R)) >= math.log(R) - 1e-12
+    assert script_L(10, arith.squarefree_inverse_phi(100)) >= math.log(100) - 1e-12
 
 
 def test_script_L_min_attained():
-    R_set = {2, 3, 5, 7}
-    vals = [script_L_q(q, R_set) for q in range(1, 11)]
-    assert script_L(10, R_set) == min(vals)
+    from oracles import squarefree_inverse_phi_sum
+    R_set = [2, 3, 5, 7]
+    w = np.zeros(8)
+    w[R_set] = [1 / euler_phi(r) for r in R_set]
+    vals = [q / euler_phi(q) * squarefree_inverse_phi_sum(R_set, q) for q in range(1, 11)]
+    assert script_L(10, w) == min(vals)
+
+
+@pytest.mark.parametrize("R", [1, 2, 30, 500])
+def test_script_L_matches_its_sum(R):
+    """script_L over {1..R} and over the nu set, against the sum added r by r."""
+    from oracles import euler_phi_td, script_L_sum
+    nu_set = [r for r in range(1, R + 1) if nu(r)]
+    w_nu = np.zeros(R + 1)
+    w_nu[nu_set] = [1.0 / euler_phi_td(r) for r in nu_set]
+    for Q in (1, 2, 6, 30):
+        assert script_L(Q, arith.squarefree_inverse_phi(R)) == script_L_sum(Q, range(1, R + 1))
+        assert script_L(Q, w_nu) == script_L_sum(Q, nu_set)
 
 
 def test_prop21():
-    # R_set = {1} admits every sequence
+    # R = 1 admits every sequence
     a = random_sequence(60, seed=14, trial=0)
-    rep = lsi_prop21(a, 4, {1}, 1)
+    rep = lsi_prop21(a, 4, 1)
     assert rep.passed
     assert rep.extras["script_L"] == 1.0  # minimum at q = 1
-    restriction = SupportRestriction.coprime_to(range(1, 6))
+    assert rep.parameters["R_set_size"] == 1
+    restriction = SupportRestriction.rough(5)
     for trial in range(10):
         a = random_sequence(300, seed=15, trial=trial, restriction=restriction)
-        assert lsi_prop21(a, 8, range(1, 6), 5).passed
-    rep = lsi_prop21(CoefficientSequence.zeros(10), 3, {1, 2}, 2)
+        assert lsi_prop21(a, 8, 5).passed
+    rep = lsi_prop21(CoefficientSequence.zeros(10), 3, 2)
     assert rep.lhs == 0.0 and rep.passed
 
 
 def test_prop21_validation():
     with pytest.raises(DomainError):
-        lsi_prop21(CoefficientSequence.zeros(5), 2, {7}, 5)  # element above R
+        lsi_prop21(CoefficientSequence.zeros(5), 2, 0)  # the set {1, ..., R} is empty
     with pytest.raises(SupportError):
-        lsi_prop21(CoefficientSequence.ones(10), 2, {2}, 2)
+        lsi_prop21(CoefficientSequence.ones(10), 2, 2)
 
 
 def test_prop22():
@@ -1030,8 +1051,17 @@ def test_prop22():
         rep = lsi_prop22(a, 3)
         assert rep.passed
         assert rep.extras["R"] == pytest.approx(math.sqrt(2000) / 3)
-        assert all(all(p % 4 == 3 for p, _ in factorize(r).factors)
-                   for r in rep.extras["R_set"])
+        # R = 14.9: the nu-supported r are 1, 3, 7 and 11
+        assert rep.extras["R_set_size"] == 4
+
+
+@pytest.mark.parametrize("Q, N", [(1, 250_000), (2, 40_000), (5, 62_500), (30, 1_440_000)])
+def test_prop22_script_L_runs_over_the_nu_set(Q, N):
+    from oracles import script_L_sum
+    rep = lsi_prop22(CoefficientSequence.zeros(N), Q)
+    nu_set = [r for r in range(1, math.floor(math.sqrt(N) / Q) + 1) if nu(r)]
+    assert rep.extras["R_set_size"] == len(nu_set)
+    assert rep.extras["script_L"] == script_L_sum(Q, nu_set)
 
 
 def test_prop22_q1_term_below_total():
