@@ -39,6 +39,8 @@ CASES = {
     "verify_eq15": "verify --ineq eq15 --q 6 --X 100",
     "verify_eq16": "verify --ineq eq16 --N 300 --Q 6 --trials 2",
     "verify_thm13": "verify --ineq thm13 --N 200 --Q 6 --trials 2",
+    # r with three primes (30, 42) and with square factors; Q = 2 (mod 4)
+    "verify_thm13_Q62": "verify --ineq thm13 --N 2000 --Q 62 --trials 2",
     "verify_prop21": "verify --ineq prop21 --N 200 --Q 5 --R 3 --trials 2",
     "verify_prop22": "verify --ineq prop22 --N 2000 --Q 4 --trials 2",
     "verify_thm21": "verify --ineq thm21 --N 2000 --Q 3 --slack 2",
