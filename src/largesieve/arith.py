@@ -67,13 +67,6 @@ class FactoredInt:
     def prime_factors(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def divisors(self) -> list[int]:
-        """All positive divisors, unsorted."""
-        divs = [1]
-        for p, e in self.factors:
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        return divs
-
 
 _table: PrimeTable | None = None
 
@@ -152,22 +145,6 @@ def euler_phi(n: int | FactoredInt) -> int:
     for p, _ in f.factors:
         out = out // p * (p - 1)
     return out
-
-
-def mobius(n: int | FactoredInt) -> int:
-    f = factorize(n)
-    if any(e >= 2 for _, e in f.factors):
-        return 0
-    return -1 if len(f.factors) % 2 else 1
-
-
-def nu(n: int | FactoredInt) -> int:
-    """1 iff n is squarefree with every prime factor = 3 (mod 4); nu(1) = 1."""
-    f = factorize(n)
-    for p, e in f.factors:
-        if e >= 2 or p % 4 != 3:
-            return 0
-    return 1
 
 
 def q3_radical(q: int | FactoredInt) -> FactoredInt:

@@ -107,8 +107,11 @@ def _int_list(text: str) -> list[int]:
 
 
 def _integer(text: str) -> int:
-    """An integer option, also written as a float such as 1e6; must be finite."""
-    value = float(text)
+    """An integer option, read exactly, or as a finite float such as 1e6."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return int(value)
@@ -337,10 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--Q", type=_integer, default=10)
     v.add_argument("--trials", type=int, default=20)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--q", type=int, default=1, help="modulus for eq15")
+    v.add_argument("--q", type=_integer, default=1, help="modulus for eq15")
     v.add_argument("--X", type=float, default=100.0, help="range for eq15")
     v.add_argument("--P", default="2,3", help="excluded primes for thm12")
-    v.add_argument("--R", type=int, default=5, help="coprimality range for prop21")
+    v.add_argument("--R", type=_integer, default=5, help="coprimality range for prop21")
     v.add_argument("--alpha", type=float, default=1.0, help="prop22 threshold constant")
     v.add_argument("--slack", type=float, default=1.0,
                    help="thm21 coefficient-condition slack factor")

@@ -529,13 +529,14 @@ def lsi_thm13(a: CoefficientSequence, Q: int) -> InequalityReport:
     The term of each coprime pair (q, r), qr <= Q, is q/phi(qr) E(q) of
     b_u c_r(u) for b = a mod qr, folded to mod q.  Each table c_r is built
     once per r.  The terms are computed in the order of residue_folds and
-    added in ascending (q, r).
+    added in ascending (q, r).  E(q) = 0.0 at q = 2 (mod 4), so those pairs
+    are skipped; every m keeps its pair (1, m).
     """
     tables = {r: expsums.ramanujan_table(r) for r in _moduli(Q)}
     pairs = {}
     for q in _moduli(Q):
         for r in range(1, Q // q + 1):
-            if math.gcd(q, r) == 1:
+            if q % 4 != 2 and math.gcd(q, r) == 1:
                 pairs.setdefault(q * r, []).append((q, r))
     terms = {}
     for m, b in residue_folds(a, pairs):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from largesieve.arith import FactoredInt, factorize, mobius, q3_radical
+from largesieve.arith import FactoredInt, factorize, q3_radical
 from largesieve.asymptotics import S_q, _nu_sums
 from largesieve.characters import (DirichletCharacter, character_group, conductor, group,
                                    is_primitive, primitive_characters)
@@ -45,6 +45,25 @@ def euler_phi_td(n: int) -> int:
 def mobius_td(n: int) -> int:
     f = factorize_td(n)
     return 0 if any(e >= 2 for _, e in f) else (-1) ** len(f)
+
+
+def nu_td(n: int) -> int:
+    """1 iff n is squarefree with every prime factor = 3 (mod 4); nu(1) = 1."""
+    return int(all(e == 1 and p % 4 == 3 for p, e in factorize_td(n)))
+
+
+def divisors_td(n: int) -> list[int]:
+    """All positive divisors of n, unsorted."""
+    divs = [1]
+    for p, e in factorize_td(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return divs
+
+
+def ramanujan_sum_divisor(r: int, n: int) -> int:
+    """c_r(n) = sum over d | (n, r) of d mu(r/d), one divisor at a time; exact integer."""
+    g = math.gcd(n, r)  # gcd(0, r) = r gives c_r(0) = phi(r)
+    return sum(d * mobius_td(r // d) for d in divisors_td(r) if g % d == 0)
 
 
 def squarefree_inverse_phi_sum(rs, q: int) -> float:
@@ -95,7 +114,7 @@ def von_mangoldt_k(n: int, k: int) -> float:
         return 0.0
     total = 0.0
     for d in squarefree_divisors(f):
-        total += mobius(factorize(d)) * math.log(f.n / d) ** k
+        total += mobius_td(d) * math.log(f.n / d) ** k
     return total
 
 
@@ -198,6 +217,13 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     return complex(values @ phases)
 
 
+def primitive_sums(a: CoefficientSequence, q: int) -> list[tuple[DirichletCharacter, complex]]:
+    """(chi, sum_n a_n chi(n)) for every primitive chi mod q, one chi(n) at a time."""
+    ns, vals = a.nonzero
+    return [(chi, sum(v * chi(int(n)) for n, v in zip(ns, vals)))
+            for chi in character_group(q) if is_primitive(chi)]
+
+
 def eq14_lhs(a: CoefficientSequence, Q: int) -> float:
     """eq14's left side from its stated double sum, one chi(n) at a time.
 
@@ -205,14 +231,36 @@ def eq14_lhs(a: CoefficientSequence, Q: int) -> float:
     sum over primitive chi mod q of |sum_n a_n chi(n)|^2, with mu and phi by
     trial division.  O(N sum phi(q)) work.
     """
-    ns, vals = a.nonzero
     total = 0.0
     for q in range(1, Q + 1):
-        energy = sum(abs(sum(v * chi(int(n)) for n, v in zip(ns, vals))) ** 2
-                     for chi in character_group(q) if is_primitive(chi))
+        energy = sum(abs(s) ** 2 for _, s in primitive_sums(a, q))
         for r in range(1, Q // q + 1):
             if math.gcd(q, r) == 1:
                 total += q * mobius_td(r) ** 2 / euler_phi_td(q * r) * energy
+    return total
+
+
+def eq16_lhs(a: CoefficientSequence, Q: int) -> float:
+    """eq16's left side: sum over q <= Q of log(Q/q) sum* over chi mod q of |S(chi)|^2.
+
+    S(chi) = sum_n a_n chi(n), one chi(n) at a time; terms added in ascending q.
+    """
+    total = 0.0
+    for q in range(1, Q + 1):
+        total += math.log(Q / q) * sum(abs(s) ** 2 for _, s in primitive_sums(a, q))
+    return total
+
+
+def log_weighted_lhs(a: CoefficientSequence, Q: float, chi_D: DirichletCharacter) -> float:
+    """sum over 1 < q <= Q of log(Q/q) sum* over chi mod q, chi != chi_D, of |S(chi)|^2.
+
+    The left side of lemma31, prop31 and eq31, with chi_D left out of the
+    sum rather than subtracted from it.
+    """
+    total = 0.0
+    for q in range(2, math.floor(Q) + 1):
+        total += math.log(Q / q) * sum(abs(s) ** 2 for chi, s in primitive_sums(a, q)
+                                       if chi != chi_D)
     return total
 
 
@@ -236,8 +284,7 @@ def one_plus_chi(n: int, chi_D: DirichletCharacter) -> float:
 
 def lambda_conv(n, chi_D: DirichletCharacter) -> float:
     """(1 * chi_D)(n) = sum over d | n of chi_D(d)."""
-    f = factorize(n)
-    return float(sum(chi_D(d).real for d in f.divisors()))
+    return float(sum(chi_D(d).real for d in divisors_td(n)))
 
 
 def lambda_partial_sum(N: int, chi_D: DirichletCharacter) -> float:

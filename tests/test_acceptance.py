@@ -21,7 +21,7 @@ from largesieve.characters import (character_group, group, is_primitive,
 from largesieve.cli import main as cli_main, report_row
 from largesieve.expsums import ramanujan_table
 from largesieve.lsi import CoefficientSequence, SupportRestriction, random_sequence
-from oracles import T_q, eq37_check, gauss_sum, von_mangoldt_k
+from oracles import T_q, eq37_check, gauss_sum, mobius_td, von_mangoldt_k
 
 GRID_N = [50, 200, 1000]
 GRID_Q = [2, 5, 10, 30]
@@ -119,7 +119,6 @@ def test_criterion_02_gauss_sum_law():
 
 
 def test_criterion_03_ramanujan_agreement():
-    from largesieve.arith import mobius
     worst = 0.0
     for r in range(1, 201):
         u = np.arange(r)
@@ -131,7 +130,7 @@ def test_criterion_03_ramanujan_agreement():
         err = np.max(np.abs(exp_vals - div_vals))
         assert err <= 1e-9 * euler_phi(r), r
         worst = max(worst, err)
-        mu_r = mobius(r)
+        mu_r = mobius_td(r)
         for m in range(1, 201):
             if math.gcd(m, r) == 1:
                 assert int(table[m % r]) == mu_r, (r, m)

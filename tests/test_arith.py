@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from largesieve import _backend, arith
-from largesieve.arith import (FactoredInt, euler_phi, factorize, mobius, nu,
-                              q3_radical, r2_coprime_table, sieve_primes,
-                              von_mangoldt_table)
+from largesieve.arith import (FactoredInt, euler_phi, factorize, q3_radical,
+                              r2_coprime_table, sieve_primes, von_mangoldt_table)
 from largesieve.errors import ResourceLimitError
-from oracles import (divisor_count, factorize_td, r2_coprime, rho_weight, von_mangoldt,
-                     von_mangoldt_k)
+from oracles import (divisor_count, divisors_td, factorize_td, mobius_td, nu_td, r2_coprime,
+                     rho_weight, von_mangoldt, von_mangoldt_k)
 
 
 def is_prime_td(n):
@@ -163,18 +162,19 @@ def test_euler_phi():
 
 def test_phi_divisor_sum_identity():
     for n in range(1, 10**4 + 1):
-        assert sum(euler_phi(d) for d in factorize(n).divisors()) == n
+        assert sum(euler_phi(d) for d in divisors_td(n)) == n
 
 
 def test_mobius():
-    assert mobius(1) == 1
-    assert mobius(12) == 0
-    assert mobius(30) == -1
+    assert mobius_td(1) == 1
+    assert mobius_td(12) == 0
+    assert mobius_td(30) == -1
 
 
 def test_mobius_divisor_sum_identity():
+    mu = [0] + [mobius_td(n) for n in range(1, 10**4 + 1)]
     for n in range(1, 10**4 + 1):
-        total = sum(mobius(d) for d in factorize(n).divisors())
+        total = sum(mu[d] for d in divisors_td(n))
         assert total == (1 if n == 1 else 0)
 
 
@@ -185,7 +185,7 @@ def test_multiplicativity(m, n):
         return
     assert euler_phi(m * n) == euler_phi(m) * euler_phi(n)
     assert divisor_count(m * n) == divisor_count(m) * divisor_count(n)
-    assert mobius(m * n) == mobius(m) * mobius(n)
+    assert mobius_td(m * n) == mobius_td(m) * mobius_td(n)
 
 
 def test_divisor_count():
@@ -212,7 +212,7 @@ def test_von_mangoldt_k_examples():
     assert von_mangoldt_k(1, 3) == 0.0
     assert von_mangoldt_k(7, 1) == pytest.approx(math.log(7), abs=1e-12)
     # direct mu * log^2 evaluation at n = 12
-    expect = sum(mobius(d) * math.log(12 / d) ** 2 for d in factorize(12).divisors())
+    expect = sum(mobius_td(d) * math.log(12 / d) ** 2 for d in divisors_td(12))
     assert von_mangoldt_k(12, 2) == pytest.approx(expect, abs=1e-12)
 
 
@@ -226,14 +226,14 @@ def test_von_mangoldt_k_recurrence():
 
 
 def test_nu():
-    assert nu(1) == 1
-    assert nu(3) == 1
-    assert nu(9) == 0
-    assert nu(21) == 1
-    assert nu(6) == 0  # 2 is not 3 mod 4
+    assert nu_td(1) == 1
+    assert nu_td(3) == 1
+    assert nu_td(9) == 0
+    assert nu_td(21) == 1
+    assert nu_td(6) == 0  # 2 is not 3 mod 4
     for n in range(1, 500):
-        if nu(n):
-            assert mobius(n) ** 2 == 1
+        if nu_td(n):
+            assert mobius_td(n) ** 2 == 1
             assert all(p % 4 == 3 for p, _ in factorize(n).factors)
 
 
@@ -256,7 +256,7 @@ def r2_brute(n):
 
 
 def test_squarefree_inverse_phi_matches_trial_division():
-    from oracles import euler_phi_td, mobius_td
+    from oracles import euler_phi_td
     n = 10**4
     w = arith.squarefree_inverse_phi(n)
     assert w.dtype == np.float64 and w.shape == (n + 1,) and w[0] == 0.0

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from largesieve import asymptotics as asy
-from largesieve.arith import euler_phi, factorize, nu, q3_radical
+from largesieve.arith import euler_phi, q3_radical
 from largesieve.errors import DomainError
-from oracles import T_q, convolution_identity_check, count_nu_tau, divisor_count
+from oracles import T_q, convolution_identity_check, count_nu_tau, divisor_count, nu_td
 
 
 def S_brute(q, x):
     """Oracle: direct scan over every integer up to x."""
     total = 0.0
     for n in range(1, math.floor(x) + 1):
-        if math.gcd(n, q) == 1 and nu(n):
+        if math.gcd(n, q) == 1 and nu_td(n):
             total += divisor_count(n) / n
     return total
 
@@ -38,7 +38,7 @@ def test_T_q_examples():
 def test_count_nu_tau():
     assert count_nu_tau(1) == 1
     assert count_nu_tau(10) == 5  # n = 1, 3, 7
-    brute = sum(nu(n) * divisor_count(n) for n in range(1, 1001))
+    brute = sum(nu_td(n) * divisor_count(n) for n in range(1, 1001))
     assert count_nu_tau(1000) == brute
 
 
@@ -163,7 +163,7 @@ def test_script_L_sqrt_log_shape():
     from largesieve.lsi import script_L
     kappas = {}
     for R in (100, 1000):
-        w = np.array([1 / euler_phi(r) if r and nu(r) else 0.0 for r in range(R + 1)])
+        w = np.array([1 / euler_phi(r) if r and nu_td(r) else 0.0 for r in range(R + 1)])
         for Q in (5, 20):
             kappas[(Q, R)] = script_L(Q, w) / math.sqrt(math.log(R))
     assert all(k > 0.5 for k in kappas.values())

@@ -193,6 +193,25 @@ def test_ranges_past_the_budget_exit_3_before_any_work(argv, capsys, monkeypatch
     assert captured.err.startswith("resource guard: ")
 
 
+@pytest.mark.parametrize("ineq, option, values", [
+    ("prop21", "--R", ["1e9", "1000000000"]),
+    ("eq15", "--q", ["1e30", str(10**30)]),
+])
+def test_one_value_in_either_spelling_gets_one_exit_code(ineq, option, values, capsys):
+    """--R and --q read 1e9 as --N does; argparse's int() refused it with exit 2."""
+    for value in values:
+        code = main(["verify", "--ineq", ineq, option, value])
+        captured = capsys.readouterr()
+        assert code == 3, value
+        assert captured.out == ""
+        assert captured.err.startswith("resource guard: "), value
+
+
+def test_integer_text_is_read_exactly():
+    assert cli._integer(str(2**53 + 1)) == 2**53 + 1
+    assert cli._integer("1e6") == 10**6
+
+
 @pytest.mark.parametrize("Q, code", [(10**4, 0), (10**4 + 1, 3)])
 def test_Q_budget_is_the_square_root_of_the_sieve_budget(Q, code, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_verify", lambda args: [{"pass": True}])
@@ -289,6 +308,8 @@ def test_nothing_to_check_is_usage_error(capsys, argv):
     ["verify", "--ineq", "bd", "--N"],
     ["verify", "--ineq", "bd", "--M"],
     ["verify", "--ineq", "bd", "--Q"],
+    ["verify", "--ineq", "prop21", "--R"],
+    ["verify", "--ineq", "eq15", "--q"],
     ["constants", "--cutoff"],
     ["constants", "--T"],
     ["scan", "bt", "--M"],

@@ -5,13 +5,12 @@ import pytest
 
 from largesieve import cli
 from largesieve import exceptional as ex
-from largesieve.arith import SIEVE_LIMIT_BUDGET, factorize, mobius
-from largesieve.characters import (character_group, chi4, is_primitive,
-                                   real_primitive_characters)
+from largesieve.arith import SIEVE_LIMIT_BUDGET
+from largesieve.characters import chi4, real_primitive_characters
 from largesieve.errors import DomainError, ResourceLimitError
 from largesieve.lsi import CoefficientSequence, primitive_char_sums, random_sequence
-from oracles import (eq37_check, lambda_conv, lambda_partial_sum, one_plus_chi,
-                     table_function, von_mangoldt)
+from oracles import (divisors_td, eq37_check, lambda_conv, lambda_partial_sum,
+                     log_weighted_lhs, mobius_td, one_plus_chi, table_function, von_mangoldt)
 
 
 def test_test_functions():
@@ -77,8 +76,7 @@ def test_lambda_conv():
 def test_mobius_inversion(D):
     for chi in real_primitive_characters(D):
         for n in range(1, 501):
-            back = sum(mobius(n // d) * lambda_conv(d, chi)
-                       for d in factorize(n).divisors())
+            back = sum(mobius_td(n // d) * lambda_conv(d, chi) for d in divisors_td(n))
             assert back == pytest.approx(chi(n).real, abs=1e-9)
 
 
@@ -196,15 +194,29 @@ def test_prop31_excluding_chi_D_decreases_lhs():
 @pytest.mark.parametrize("D", [3, 4, 5, 8])
 def test_log_weighted_lhs_against_scalar_oracle(D):
     a = random_sequence(90, M=7, seed=4, trial=0)
-    ns = np.arange(a.M + 1, a.M + a.N + 1)
     Q = 9.5
     for chi_D in real_primitive_characters(D):
-        oracle = 0.0
-        for q in range(2, 10):
-            energy = sum(abs(sum(av * chi(int(n)) for n, av in zip(ns, a.values))) ** 2
-                         for chi in character_group(q) if is_primitive(chi) and chi != chi_D)
-            oracle += math.log(Q / q) * energy
+        oracle = log_weighted_lhs(a, Q, chi_D)
         assert ex._log_weighted_lhs(a, Q, chi_D) == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("D", [3, 4, 5, 8, 12])
+def test_lemma31_prop31_and_eq31_left_sides_against_their_sum(D):
+    """The chi_D-free log-weighted sieve on each report's own coefficients."""
+    Q = 12.0
+    for chi_D in real_primitive_characters(D):
+        for f in (ex.indicator_function(), ex.smooth_bump_function()):
+            a = ex.coeffs_lambda_f(300, f)
+            assert ex._log_weighted_lhs(a, Q, chi_D) == pytest.approx(
+                log_weighted_lhs(a, Q, chi_D), rel=1e-12, abs=0.0), (chi_D, f.kind)
+        a = ex.prime_indicator(40, 300)
+        assert ex.eq31_check(a, Q, chi_D).lhs == pytest.approx(
+            log_weighted_lhs(a, Q, chi_D), rel=1e-12, abs=0.0), chi_D
+    if D <= 5:  # Q_real = sqrt(N)/log N is 5.88 at N = 2000
+        setup = ex.make_setup(D, 2000)
+        want = log_weighted_lhs(ex.coeffs_lambda_f(2000, setup.f), setup.Q_real, setup.chi_D)
+        for report in (ex.lemma31_report, ex.prop31_report):
+            assert report(setup).lhs == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("N", [10**4, 10**5])

@@ -2,12 +2,12 @@ import cmath
 import math
 
 import numpy as np
-import pytest
 
-from largesieve.arith import euler_phi, mobius
+from largesieve.arith import euler_phi
 from largesieve.characters import character_group, chi4, conductor, is_primitive
-from largesieve.expsums import ramanujan_sum_divisor, ramanujan_table
-from oracles import e, gauss_sum, principal_character, ramanujan_sum_exp
+from largesieve.expsums import ramanujan_table
+from oracles import (e, gauss_sum, mobius_td, principal_character, ramanujan_sum_divisor,
+                     ramanujan_sum_exp)
 
 
 def test_e_basic():
@@ -47,7 +47,7 @@ def test_gauss_modulus_closed_form():
     for q in range(1, 301):
         for chi in character_group(q):
             f = conductor(chi)
-            closed = f * mobius(q // f) ** 2 if math.gcd(f, q // f) == 1 else 0
+            closed = f * mobius_td(q // f) ** 2 if math.gcd(f, q // f) == 1 else 0
             assert abs(abs(gauss_sum(chi)) ** 2 - closed) <= 1e-12 * q, (q, chi.exponents)
             checked += 1
     assert checked == sum(euler_phi(q) for q in range(1, 301))
@@ -56,49 +56,52 @@ def test_gauss_modulus_closed_form():
 def test_gauss_sum_principal_equals_mobius():
     # tau(chi_0 mod q) = c_q(1) = mu(q)
     for q in range(1, 201):
-        assert abs(gauss_sum(principal_character(q)) - mobius(q)) < 1e-6
+        assert abs(gauss_sum(principal_character(q)) - mobius_td(q)) < 1e-6
 
 
 def test_ramanujan_examples():
     assert ramanujan_sum_exp(1, 17) == 1
     assert abs(ramanujan_sum_exp(4, 2) - (-2)) < 1e-12
-    assert ramanujan_sum_divisor(4, 2) == -2
-    assert ramanujan_sum_divisor(3, 4) == -1  # = mu(3), since gcd(4, 3) = 1
-    assert ramanujan_sum_divisor(6, 6) == euler_phi(6) == 2
-    for r in (1, 2, 12, 30):
-        assert ramanujan_sum_divisor(r, 0) == euler_phi(r)
+    assert ramanujan_table(4)[2] == ramanujan_sum_divisor(4, 2) == -2
+    assert ramanujan_table(3)[4 % 3] == -1  # = mu(3), since gcd(4, 3) = 1
+    assert ramanujan_table(6)[0] == euler_phi(6) == 2
+    assert ramanujan_table(1).tolist() == [1]
+    for r in range(1, 201):
+        assert ramanujan_table(r)[0] == euler_phi(r)
 
 
 def test_ramanujan_agreement():
     for r in range(1, 51):
+        table = ramanujan_table(r)
         for n in range(0, 51):
             exp_form = ramanujan_sum_exp(r, n)
             assert abs(exp_form.imag) <= 1e-9
-            assert abs(exp_form - ramanujan_sum_divisor(r, n)) <= 1e-9 * euler_phi(r)
+            assert abs(exp_form - table[n % r]) <= 1e-9 * euler_phi(r)
 
 
 def test_ramanujan_mu_on_coprime():
-    for r in range(1, 51):
-        for n in range(1, 51):
+    for r in range(1, 201):
+        table = ramanujan_table(r)
+        for n in range(1, r + 1):
             if math.gcd(n, r) == 1:
-                assert ramanujan_sum_divisor(r, n) == mobius(r)
+                assert table[n % r] == mobius_td(r), (r, n)
 
 
 def test_ramanujan_multiplicative_in_r():
-    for r1 in range(1, 11):
-        for r2 in range(1, 11):
-            if math.gcd(r1, r2) != 1 or r1 * r2 > 100:
+    for r1 in range(1, 31):
+        for r2 in range(1, 31):
+            if math.gcd(r1, r2) != 1 or r1 * r2 > 300:
                 continue
-            for n in (0, 1, 6, 17):
-                assert (ramanujan_sum_divisor(r1 * r2, n)
-                        == ramanujan_sum_divisor(r1, n) * ramanujan_sum_divisor(r2, n))
+            n = np.arange(r1 * r2)
+            assert np.array_equal(ramanujan_table(r1 * r2),
+                                  ramanujan_table(r1)[n % r1] * ramanujan_table(r2)[n % r2])
 
 
 def test_ramanujan_table():
-    for r in (1, 4, 6, 90):
+    for r in list(range(1, 121)) + [210, 360, 2310]:
         table = ramanujan_table(r)
-        for n in range(max(r, 1)):
-            assert table[n] == ramanujan_sum_divisor(r, n)
+        assert table.dtype == np.int64 and table.shape == (r,)
+        assert table.tolist() == [ramanujan_sum_divisor(r, n) for n in range(r)], r
 
 
 def test_unit_circle_bound():

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from largesieve import arith, lsi
-from largesieve.arith import euler_phi, factorize, nu, prime_table
+from largesieve.arith import euler_phi, factorize, prime_table
 from largesieve.characters import (CharacterGroup, character_group, chi4, group,
                                    is_primitive, primitive_characters)
 from largesieve.errors import DomainError, SupportError
-from largesieve.expsums import ramanujan_sum_divisor
 from largesieve.lsi import (CoefficientSequence, SupportRestriction, brun_titchmarsh,
                             char_sum, check_eq15, lsi_bd, lsi_eq14, lsi_eq16,
                             lsi_mvs, lsi_prop21, lsi_prop22, lsi_thm12, lsi_thm13,
                             lsi_thm21, make_report, random_sequence, script_L,
                             thm21_conditions)
+from oracles import nu_td, ramanujan_sum_divisor
 
 
 def vm_sqrt_coeffs(N):
@@ -461,7 +461,6 @@ def test_thm12_and_eq14_read_no_character_sum(monkeypatch):
 
 @pytest.mark.parametrize("density", DENSITIES)
 def test_thm13_matches_the_per_modulus_path(density, monkeypatch):
-    from largesieve.expsums import ramanujan_table
     a = sequence_at_density(2000, density, seed=23)
     Q = 14
     old = 0.0
@@ -472,7 +471,8 @@ def test_thm13_matches_the_per_modulus_path(density, monkeypatch):
                 continue
             m = q * r
             u = np.arange(m)
-            V = group(q).value_matrix(prim)[:, u % q] * ramanujan_table(r)[u % r]
+            c_r = np.array([ramanujan_sum_divisor(r, n) for n in range(r)])
+            V = group(q).value_matrix(prim)[:, u % q] * c_r[u % r]
             old += q / euler_phi(m) * float(np.sum(np.abs(V @ residue_oracle(a, m)) ** 2))
     seen = reads(monkeypatch)
     assert lsi_thm13(a, Q).lhs == pytest.approx(old, rel=1e-12)
@@ -490,6 +490,19 @@ def test_thm13_builds_each_ramanujan_table_once(monkeypatch):
     monkeypatch.setattr(expsums, "ramanujan_table", spy)
     lsi_thm13(random_sequence(500), 20)
     assert sorted(calls) == list(range(1, 21))
+
+
+def test_thm13_sums_no_character_at_q_2_mod_4(monkeypatch):
+    seen = []
+
+    def spy(a, q, b, original=lsi.primitive_char_sums):
+        seen.append(q)
+        return original(a, q, b)
+
+    monkeypatch.setattr(lsi, "primitive_char_sums", spy)
+    lsi_thm13(random_sequence(500), 30)
+    # every odd q and every q = 0 (mod 4) up to Q = 30 enters, no q = 2 (mod 4)
+    assert set(seen) == {q for q in range(1, 31) if q % 4 != 2}
 
 
 # ---------------------------------------------------------------------
@@ -945,6 +958,18 @@ def test_eq16():
         assert lsi_eq16(a, 10).passed
 
 
+@pytest.mark.parametrize("Q", [7, 12])
+def test_eq16_matches_its_sum(Q):
+    from oracles import eq16_lhs
+    restriction = SupportRestriction.rough(Q)
+    cases = [random_sequence(300, M=M, seed=26, trial=t, restriction=restriction)
+             for t, M in enumerate([0, 97, 1000])]
+    ones = CoefficientSequence.ones(300, 40)
+    restriction.zero_forbidden(ones.values, ones.M)
+    for a in [*cases, ones, lsi.prime_indicator(100, 300)]:
+        assert lsi_eq16(a, Q).lhs == pytest.approx(eq16_lhs(a, Q), rel=1e-12, abs=0.0)
+
+
 def test_eq16_lhs_below_eq14_lhs():
     restriction = SupportRestriction.rough(12)
     for trial in range(10):
@@ -1011,7 +1036,7 @@ def test_script_L_min_attained():
 def test_script_L_matches_its_sum(R):
     """script_L over {1..R} and over the nu set, against the sum added r by r."""
     from oracles import euler_phi_td, script_L_sum
-    nu_set = [r for r in range(1, R + 1) if nu(r)]
+    nu_set = [r for r in range(1, R + 1) if nu_td(r)]
     w_nu = np.zeros(R + 1)
     w_nu[nu_set] = [1.0 / euler_phi_td(r) for r in nu_set]
     for Q in (1, 2, 6, 30):
@@ -1059,7 +1084,7 @@ def test_prop22():
 def test_prop22_script_L_runs_over_the_nu_set(Q, N):
     from oracles import script_L_sum
     rep = lsi_prop22(CoefficientSequence.zeros(N), Q)
-    nu_set = [r for r in range(1, math.floor(math.sqrt(N) / Q) + 1) if nu(r)]
+    nu_set = [r for r in range(1, math.floor(math.sqrt(N) / Q) + 1) if nu_td(r)]
     assert rep.extras["R_set_size"] == len(nu_set)
     assert rep.extras["script_L"] == script_L_sum(Q, nu_set)
 
