@@ -1,8 +1,8 @@
 """Prime sieving, factorization, and the arithmetic functions used throughout.
 
-Everything here is a pure function of its inputs, except prime_table, which
-keeps one shared PrimeTable and replaces it by a larger one on demand.
-PrimeTable instances are immutable after construction.
+Everything here is a pure function of its inputs, except primes_upto and
+factorize, which read one shared table of primes and replace it by a larger one
+on demand.  Every array of primes returned here is read-only.
 """
 
 from __future__ import annotations
@@ -18,27 +18,6 @@ from largesieve.errors import ResourceLimitError
 # Desk-scale guard: sieving/enumeration requests beyond this raise
 # ResourceLimitError rather than thrash memory.  10^8 entries ~ 100 MB mask.
 SIEVE_LIMIT_BUDGET = 10**8
-
-
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes in (lo, limit], ascending."""
-
-    limit: int
-    primes: np.ndarray  # int64, ascending
-    lo: int = 0
-
-    def __post_init__(self):
-        self.primes.setflags(write=False)
-
-    def __len__(self) -> int:
-        return int(self.primes.shape[0])
-
-    def upto(self, x: int | float) -> np.ndarray:
-        """Primes in (lo, x] (requires x <= limit)."""
-        if x > self.limit:
-            raise ValueError(f"table only covers primes <= {self.limit}")
-        return self.primes[: int(np.searchsorted(self.primes, math.floor(x), side="right"))]
 
 
 @dataclass(frozen=True)
@@ -68,11 +47,12 @@ class FactoredInt:
         return tuple(p for p, _ in self.factors)
 
 
-_table: PrimeTable | None = None
+# The shared table (limit, every prime <= limit); limit 0: not built yet.
+_table = (0, np.empty(0, dtype=np.int64))
 
 
-def sieve_primes(limit: int, lo: int = 0) -> PrimeTable:
-    """Every prime in (lo, limit], by the odd-only sieve of Eratosthenes.
+def sieve_primes(limit: int, lo: int = 0) -> np.ndarray:
+    """Every prime in (lo, limit], ascending, by the odd-only sieve of Eratosthenes.
 
     The primes are the indices np.flatnonzero finds in _backend.prime_mask,
     mapped in place to the odd n they stand for.  For lo < 2 the mask starts
@@ -95,22 +75,30 @@ def sieve_primes(limit: int, lo: int = 0) -> PrimeTable:
     primes += 1
     if not start:
         primes[0] = 2
-    return PrimeTable(limit=int(limit), primes=primes, lo=int(lo))
+    primes.setflags(write=False)
+    return primes
 
 
-def prime_table(limit: int) -> PrimeTable:
-    """Shared table of the primes <= limit.
+def _shared_primes(x: int | float) -> np.ndarray:
+    """The shared table, first grown to hold every prime <= x.
 
-    The first call sieves exactly max(limit, 2^16); a later call past the
-    table's limit sieves at least twice that limit, so a run of growing
-    requests sieves O(largest request) in all.
+    The first call sieves max(x, 2^16); a later call past the table's limit
+    sieves at least twice that limit, so a run of growing requests sieves
+    O(largest request) in all.
     """
     global _table
-    limit = max(int(limit), 2)
-    if _table is None or _table.limit < limit:
-        size = 2**16 if _table is None else 2 * _table.limit
-        _table = sieve_primes(max(limit, min(size, SIEVE_LIMIT_BUDGET)))
-    return _table
+    limit = _table[0]
+    if not limit or x > limit:
+        size = 2 * limit if limit else 2**16
+        limit = max(math.floor(x), min(size, SIEVE_LIMIT_BUDGET))
+        _table = (limit, sieve_primes(limit))
+    return _table[1]
+
+
+def primes_upto(x: int | float) -> np.ndarray:
+    """Read-only view of the primes <= x, ascending (int64)."""
+    primes = _shared_primes(x)
+    return primes[:int(np.searchsorted(primes, math.floor(x), side="right"))]
 
 
 def factorize(n: int | FactoredInt) -> FactoredInt:
@@ -120,10 +108,9 @@ def factorize(n: int | FactoredInt) -> FactoredInt:
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = prime_table(math.isqrt(n) + 1)
     m = n
     factors = []
-    for p in table.primes:  # every prime <= isqrt(n); the loop stops at p^2 > m
+    for p in _shared_primes(math.isqrt(n) + 1):  # the loop stops at p^2 > m
         p = int(p)
         if p * p > m:
             break
@@ -168,7 +155,7 @@ def squarefree_inverse_phi(n: int) -> np.ndarray:
         raise ResourceLimitError(f"table size {n} exceeds budget {SIEVE_LIMIT_BUDGET}")
     phi = np.ones(n + 1)
     phi[0] = 0.0
-    for p in prime_table(n).upto(n):
+    for p in primes_upto(n):
         phi[p::p] *= p - 1
         phi[p * p::p * p] = 0.0
     return np.reciprocal(phi, out=phi, where=phi != 0.0)
@@ -193,7 +180,7 @@ def von_mangoldt_table(N: int) -> np.ndarray:
     out = np.zeros(N + 1)
     if N < 2:
         return out
-    for p in prime_table(N).upto(N):
+    for p in primes_upto(N):
         p = int(p)
         logp = math.log(p)
         m = p

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from largesieve import _backend
-from largesieve.arith import SIEVE_LIMIT_BUDGET, factorize, prime_table, q3_radical
+from largesieve.arith import SIEVE_LIMIT_BUDGET, factorize, primes_upto, q3_radical
 from largesieve.errors import DomainError, ResourceLimitError
 
 # cutoff used when a single value of the constant is needed internally
@@ -37,7 +37,7 @@ def _primes_3mod4(x: float) -> np.ndarray:
     """Primes p = 3 (mod 4) up to x."""
     if x > SIEVE_LIMIT_BUDGET:
         raise ResourceLimitError(f"enumeration bound {x} exceeds budget {SIEVE_LIMIT_BUDGET}")
-    ps = prime_table(max(int(x), 2)).upto(x)
+    ps = primes_upto(x)
     return ps[ps % 4 == 3]
 
 

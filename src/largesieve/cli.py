@@ -8,6 +8,7 @@ inequality failure, 2 usage error or nothing tested, 3 resource guard.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import re
@@ -31,16 +32,7 @@ def _fmt(x) -> str:
 
 
 def _fold_extras(d: dict) -> str:
-    parts = []
-    for k in d:
-        v = d[k]
-        if isinstance(v, (list, tuple)):
-            parts.append(f"{k}_size={len(v)}")
-        elif isinstance(v, dict):
-            continue
-        else:
-            parts.append(f"{k}={_fmt(v)}")
-    return ";".join(parts)
+    return ";".join(f"{k}={_fmt(v)}" for k, v in d.items())
 
 
 def report_row(rep: lsi.InequalityReport, sabotage: bool = False) -> dict:
@@ -102,19 +94,27 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in _float_list(text)]
-
-
 def _integer(text: str) -> int:
-    """An integer option, read exactly, or as a finite float such as 1e6."""
+    """text read exactly as an integer: integer text, or float notation such
+    as 1e6 or 2.0 whose value is finite and integral."""
     try:
         return int(text)
     except ValueError:
-        value = float(text)
-    if not math.isfinite(value):
+        pass
+    try:
+        finite = math.isfinite(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not finite:
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    value = decimal.Decimal(text)
+    if value != value.to_integral_value():
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(value)
+
+
+def _int_list(text: str) -> list[int]:
+    return [_integer(part) for part in text.split(",") if part]
 
 
 def validate_args(args) -> None:
@@ -245,12 +245,7 @@ def scan_bt(args) -> list[dict]:
     rows = []
     for N in _int_list(args.N or "1e4"):
         M = args.M if args.M is not None else N
-        bt = lsi.brun_titchmarsh(M, N)
-        rows.append({"M": bt.M, "N": bt.N, "Q": bt.Q, "Q_real": bt.Q_real,
-                     "prime_count": bt.prime_count, "bound": bt.bound,
-                     "asymptote": bt.asymptote,
-                     "ratio_to_asymptote": bt.ratio_to_asymptote,
-                     "pass": bt.passed})
+        rows.append(lsi.brun_titchmarsh(M, N))
     return rows
 
 
@@ -293,16 +288,7 @@ def scan_prop32(args) -> list[dict]:
             N = _int_list(args.N)[0] if args.N else int(math.sqrt(lo * hi))
             if not lo < N < hi:
                 N = max(int(lo) + 1, min(int(hi) - 1, N))
-            rep = exceptional.prop32_check(D, eps, N, args.qmax)
-            rows.append({"D": rep.D, "eps": rep.eps, "N": rep.N,
-                         "effective_q_max": rep.effective_q_max,
-                         "window_lo": rep.window[0], "window_hi": rep.window[1],
-                         "L1_logD": rep.L1_logD, "threshold": rep.threshold,
-                         "hypothesis_status": ("satisfied" if rep.hypothesis_satisfied
-                                               else "not satisfied"),
-                         "max_abs_sum": rep.max_abs_sum, "bound": rep.bound,
-                         "conclusion_tested": rep.conclusion_tested,
-                         "pass": rep.conclusion_holds if rep.conclusion_tested else ""})
+            rows.append(exceptional.prop32_check(D, eps, N, args.qmax))
     if not any(row["conclusion_tested"] for row in rows):
         raise DomainError("no row meets the hypothesis with a modulus q >= 2 to scan")
     return rows
@@ -338,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--N", type=_integer, default=200)
     v.add_argument("--M", type=_integer, default=0)
     v.add_argument("--Q", type=_integer, default=10)
-    v.add_argument("--trials", type=int, default=20)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--trials", type=_integer, default=20)
+    v.add_argument("--seed", type=_integer, default=0)
     v.add_argument("--q", type=_integer, default=1, help="modulus for eq15")
     v.add_argument("--X", type=float, default=100.0, help="range for eq15")
     v.add_argument("--P", default="2,3", help="excluded primes for thm12")
@@ -367,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--D", default="5", help="comma list of conductors")
     s.add_argument("--f", choices=["indicator", "bump"], default="indicator")
     s.add_argument("--eps", default="0.9", help="comma list (prop32)")
-    s.add_argument("--qmax", type=int, default=10)
+    s.add_argument("--qmax", type=_integer, default=10)
     return parser
 
 
@@ -390,7 +376,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    except DomainError as exc:
+    except (DomainError, argparse.ArgumentTypeError) as exc:  # the latter from _int_list
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     emit(rows, list(rows[0]), args)

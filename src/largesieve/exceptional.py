@@ -285,26 +285,6 @@ def prop31_report(setup: ExceptionalSetup) -> InequalityReport:
                                "lhs_over_N2": lhs / (N * N)})
 
 
-@dataclass
-class Prop32Report:
-    """Per-character psi-sum bound under the small-L hypothesis."""
-
-    D: int
-    eps: float
-    N: int
-    q_max: int
-    effective_q_max: int  # restricted so N >= q^4
-    window: tuple[float, float]
-    L1_logD: float
-    threshold: float  # eps^5
-    hypothesis_satisfied: bool
-    conclusion_tested: bool
-    max_abs_sum: float
-    bound: float  # 3 eps N
-    conclusion_holds: bool
-    worst: dict
-
-
 def prop32_window(D: int, eps: float) -> tuple[float, float]:
     """The range D^(1/eps^2) < N < D^(1/eps^3) in which prop32 applies."""
     if not 0 < eps < 1:
@@ -315,12 +295,13 @@ def prop32_window(D: int, eps: float) -> tuple[float, float]:
         raise DomainError(f"the window D^(1/eps^3) overflows for D = {D}, eps = {eps}") from None
 
 
-def prop32_check(D: int, eps: float, N: int, q_max: int) -> Prop32Report:
+def prop32_check(D: int, eps: float, N: int, q_max: int) -> dict:
     """Evaluate the hypothesis L(1,chi_D) log D <= eps^5, then scan.
 
     Scans every primitive chi mod q, 2 <= q <= q_max with N >= q^4,
     excluding chi_D, and compares max |sum_{n<=N} chi(n) Lambda(n)| with
     3 eps N.  When the hypothesis fails the conclusion is left untested.
+    Returns the scan prop32 row, whose pass is empty for an untested row.
     """
     lo, hi = prop32_window(D, eps)
     if not lo < N < hi:
@@ -337,26 +318,20 @@ def prop32_check(D: int, eps: float, N: int, q_max: int) -> Prop32Report:
     eff_q_max = min(q_max, math.floor(N ** 0.25))
     a = coeffs_lambda_f(max(N, 3), indicator_function())
     max_abs = 0.0
-    worst = {}
     tested = hypothesis and eff_q_max >= 2
     if tested:
         for q in range(2, eff_q_max + 1):
             chars_q, sums = primitive_char_sums(a, q)
             for chi, s in zip(chars_q, sums):
-                if chi == chi_D:
-                    continue
-                v = abs(s)
-                if v > max_abs:
-                    max_abs = v
-                    worst = {"q": q, "exponents": chi.exponents}
+                if chi != chi_D:
+                    max_abs = max(max_abs, abs(s))
     bound = 3.0 * eps * N
-    return Prop32Report(
-        D=D, eps=eps, N=N, q_max=q_max, effective_q_max=eff_q_max,
-        window=(lo, hi), L1_logD=hyp_value, threshold=eps**5,
-        hypothesis_satisfied=hypothesis, conclusion_tested=tested,
-        max_abs_sum=max_abs, bound=bound,
-        conclusion_holds=(max_abs <= bound * (1 + REL_TOL)) if tested else True,
-        worst=worst)
+    return {"D": D, "eps": eps, "N": N, "effective_q_max": eff_q_max,
+            "window_lo": lo, "window_hi": hi, "L1_logD": hyp_value,
+            "threshold": eps**5,
+            "hypothesis_status": "satisfied" if hypothesis else "not satisfied",
+            "max_abs_sum": max_abs, "bound": bound, "conclusion_tested": tested,
+            "pass": max_abs <= bound * (1 + REL_TOL) if tested else ""}
 
 
 def eq31_check(a: CoefficientSequence, Q: float,

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from largesieve import arith, expsums
-from largesieve.arith import euler_phi, factorize, prime_table
+from largesieve.arith import euler_phi, factorize, primes_upto
 from largesieve.characters import (DirichletCharacter, PrimitiveCharacters, group,
                                    is_primitive)
 from largesieve.errors import DomainError, SupportError
@@ -153,7 +153,7 @@ class SupportRestriction:
     @classmethod
     def rough(cls, Q: int) -> SupportRestriction:
         """No prime divisors <= Q."""
-        return cls.prime_free(int(p) for p in prime_table(max(Q, 2)).upto(Q))
+        return cls.prime_free(int(p) for p in primes_upto(Q))
 
     def allowed_mask(self, n: np.ndarray) -> np.ndarray:
         """True where no prime of the restriction divides n, for integers n.
@@ -600,7 +600,7 @@ def lsi_prop22(a: CoefficientSequence, Q: int, alpha: float = 1.0) -> Inequality
     rhs = 2 * N / denom * float(np.sum(r_n**2 * np.abs(values) ** 2))
     R = math.sqrt(N) / Q
     w = arith.squarefree_inverse_phi(math.floor(R))
-    for p in prime_table(max(R, 2)).upto(R):
+    for p in primes_upto(R):
         if p % 4 != 3:
             w[::p] = 0.0  # what is left is the nu-supported r <= R
     return make_report("prop22", _params(a, Q=Q, alpha=alpha), lhs, rhs,
@@ -637,7 +637,7 @@ def thm21_conditions(a: CoefficientSequence, slack: float = 1.0) -> ConditionChe
     witness = None
     worst_ratio = norm_sq
     worst_p = None
-    for p in prime_table(max(N, 2)).upto(N):
+    for p in primes_upto(N):
         p = int(p)
         first = (a.M // p + 1) * p  # smallest multiple of p above M
         if first > a.M + N:
@@ -688,32 +688,20 @@ def lsi_thm21(a: CoefficientSequence, Q: int,
 
 def prime_indicator(M: int, N: int) -> CoefficientSequence:
     """a_p = 1 at primes in (M, M+N], zero elsewhere, stored by index."""
-    ps = arith.sieve_primes(max(M + N, 2), M).primes
+    ps = arith.sieve_primes(max(M + N, 2), M)
     ps = ps[:np.searchsorted(ps, M + N, side="right")]  # M + N < 2 holds no prime
     return CoefficientSequence(M, np.ones(ps.size), N=N, index=ps)
 
 
-@dataclass
-class BrunTitchmarshReport:
-    M: int
-    N: int
-    Q: int
-    Q_real: float
-    prime_count: int
-    bound: float
-    asymptote: float  # 2N / log N
-    ratio_to_asymptote: float
-    passed: bool
-    eq16_report: InequalityReport
-
-
-def brun_titchmarsh(M: int, N: int) -> BrunTitchmarshReport:
+def brun_titchmarsh(M: int, N: int) -> dict:
     """Count primes in (M, M+N] and compare with the sieve-derived bound.
 
     The bound comes from keeping only the principal-character term of the
     log-weighted sieve with Q = sqrt(N)/log N:
         log(Q) count^2 <= (sqrt(N)+Q)^2 count,
-    so count <= (sqrt(N)+Q)^2 / log Q.
+    so count <= (sqrt(N)+Q)^2 / log Q.  Returns the scan bt row: M, N, Q,
+    Q_real, prime_count, bound, asymptote (2N / log N), ratio_to_asymptote
+    and pass.
     """
     if N < 100:
         raise DomainError("N must be >= 100")
@@ -730,8 +718,9 @@ def brun_titchmarsh(M: int, N: int) -> BrunTitchmarshReport:
     principal = math.log(Q) * count * count
     passed = (count <= bound and eq16_report.passed
               and principal <= eq16_report.lhs * (1 + REL_TOL))
-    return BrunTitchmarshReport(M, N, Q, Q_real, count, bound, asymptote,
-                                bound / asymptote, passed, eq16_report)
+    return {"M": M, "N": N, "Q": Q, "Q_real": Q_real, "prime_count": count,
+            "bound": bound, "asymptote": asymptote,
+            "ratio_to_asymptote": bound / asymptote, "pass": passed}
 
 
 # ---------------------------------------------------------------------

@@ -251,6 +251,23 @@ def eq16_lhs(a: CoefficientSequence, Q: int) -> float:
     return total
 
 
+def unit_weight_lhs(a: CoefficientSequence, Q: int) -> float:
+    """sum over q <= Q of sum* over chi mod q of |S(chi)|^2: prop21's and thm21's left side.
+
+    S(chi) = sum_n a_n chi(n), one chi(n) at a time; terms added in ascending q.
+    """
+    total = 0.0
+    for q in range(1, Q + 1):
+        total += sum(abs(s) ** 2 for _, s in primitive_sums(a, q))
+    return total
+
+
+def prop22_lhs(a: CoefficientSequence, Q: int) -> float:
+    """unit_weight_lhs of r(n) a_n, r(n) counting the coprime x^2 + y^2 = n by r2_coprime."""
+    r = [r2_coprime(n) for n in range(a.M + 1, a.M + a.N + 1)]
+    return unit_weight_lhs(CoefficientSequence(a.M, np.array(r) * a.dense()), Q)
+
+
 def log_weighted_lhs(a: CoefficientSequence, Q: float, chi_D: DirichletCharacter) -> float:
     """sum over 1 < q <= Q of log(Q/q) sum* over chi mod q, chi != chi_D, of |S(chi)|^2.
 

@@ -219,9 +219,9 @@ def test_criterion_07_brun_titchmarsh():
     ratios = []
     for N in (10**4, 10**5, 10**6):
         bt = lsi.brun_titchmarsh(N, N)
-        assert bt.prime_count <= bt.bound
-        assert bt.passed
-        ratios.append(bt.ratio_to_asymptote)
+        assert bt["prime_count"] <= bt["bound"]
+        assert bt["pass"]
+        ratios.append(bt["ratio_to_asymptote"])
     assert ratios[0] > ratios[1] > ratios[2] > 1.0
     print(f"\nACCEPTANCE 7 Brun-Titchmarsh: PASS — bound/(2N/log N) = "
           f"{', '.join(f'{r:.4f}' for r in ratios)} decreasing toward 1")

@@ -31,16 +31,16 @@ def is_prime_td(n):
 
 
 def test_sieve_small():
-    assert list(sieve_primes(10).primes) == [2, 3, 5, 7]
-    assert list(sieve_primes(2).primes) == [2]
-    assert len(sieve_primes(97)) == 25 and sieve_primes(97).primes[-1] == 97
+    assert list(sieve_primes(10)) == [2, 3, 5, 7]
+    assert list(sieve_primes(2)) == [2]
+    assert len(sieve_primes(97)) == 25 and sieve_primes(97)[-1] == 97
     assert not _backend.prime_mask(1).any()
 
 
 def test_sieve_against_trial_division():
     table = sieve_primes(10**6)
     assert len(table) == sum(1 for n in range(2, 10**6 + 1) if is_prime_td(n))
-    primes = set(table.primes.tolist())
+    primes = set(table.tolist())
     rng = np.random.default_rng(42)
     for n in rng.integers(2, 10**6, size=500):
         assert (int(n) in primes) == is_prime_td(int(n))
@@ -55,10 +55,10 @@ def test_sieve_primes_keeps_one_read_only_int64_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.primes.dtype == np.int64
-    assert not table.primes.flags.writeable
+    assert table.dtype == np.int64
+    assert not table.flags.writeable
     mask_bytes = limit + 1  # one uint8 per n <= limit
-    assert peak <= 1.1 * (mask_bytes + table.primes.nbytes)
+    assert peak <= 1.1 * (mask_bytes + table.nbytes)
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -70,9 +70,8 @@ def test_sieve_primes_keeps_one_read_only_int64_array():
 ])
 def test_sieve_window_edges(lo, hi):
     table = sieve_primes(hi, lo)
-    assert table.primes.tolist() == [n for n in range(lo + 1, hi + 1) if is_prime_td(n)]
-    assert (table.lo, table.limit) == (lo, hi)
-    assert table.primes.dtype == np.int64 and not table.primes.flags.writeable
+    assert table.tolist() == [n for n in range(lo + 1, hi + 1) if is_prime_td(n)]
+    assert table.dtype == np.int64 and not table.flags.writeable
 
 
 def test_sieve_random_windows_against_trial_division():
@@ -82,7 +81,7 @@ def test_sieve_random_windows_against_trial_division():
         hi = int(rng.integers(2, 10**5))
         lo = int(rng.integers(0, hi + 1))
         want = np.flatnonzero(is_prime[lo + 1:hi + 1]) + lo + 1
-        assert np.array_equal(sieve_primes(hi, lo).primes, want), (lo, hi)
+        assert np.array_equal(sieve_primes(hi, lo), want), (lo, hi)
 
 
 def test_prime_mask_holds_the_odd_n_of_its_window():
@@ -97,14 +96,39 @@ def test_sieve_window_rejects_lo_outside_zero_to_limit():
             sieve_primes(10, lo)
 
 
-def test_prime_table_builds_the_first_request_then_at_least_doubles(monkeypatch):
-    monkeypatch.setattr(arith, "_table", None)
-    assert arith.prime_table(3_000_000).limit == 3_000_000
-    assert arith.prime_table(3_000_001).limit == 6_000_000
-    assert arith.prime_table(100).limit == 6_000_000
-    monkeypatch.setattr(arith, "_table", None)
-    assert arith.prime_table(100).limit == 2**16
-    assert arith.prime_table(2**16 + 1).limit == 2**17
+def _spy_on_sieve(monkeypatch):
+    """The limits of the shared table's sieves, recorded as they are made."""
+    limits = []
+
+    def spy(limit, lo=0):
+        limits.append(limit)
+        return sieve_primes(limit, lo)
+
+    monkeypatch.setattr(arith, "sieve_primes", spy)
+    return limits
+
+
+def test_primes_upto_builds_the_first_request_then_at_least_doubles(monkeypatch):
+    limits = _spy_on_sieve(monkeypatch)
+    monkeypatch.setattr(arith, "_table", (0, None))
+    assert arith.primes_upto(3_000_000)[-1] == 2_999_999
+    assert limits == [3_000_000]
+    assert arith.primes_upto(3_000_001)[-1] == 2_999_999
+    assert limits == [3_000_000, 6_000_000]
+    assert arith.primes_upto(100)[-1] == 97
+    assert limits == [3_000_000, 6_000_000]
+    monkeypatch.setattr(arith, "_table", (0, None))
+    arith.primes_upto(100)
+    assert limits[2:] == [2**16]
+    arith.primes_upto(2**16 + 1)
+    assert limits[2:] == [2**16, 2**17]
+
+
+def test_primes_upto_is_a_read_only_view_of_the_primes_up_to_x():
+    for x in (-1, 0, 1, 1.5, 2, 2.5, 10, 97, 97.9, 1000):
+        ps = arith.primes_upto(x)
+        assert ps.tolist() == [n for n in range(2, math.floor(x) + 1) if is_prime_td(n)], x
+        assert ps.dtype == np.int64 and not ps.flags.writeable
 
 
 def test_sieve_budget_guard(monkeypatch):
@@ -131,15 +155,16 @@ def test_factorize_edge_cases(monkeypatch):
     """Prime powers, products of two primes near 10^6, and n whose square root
     lies just below and just above the limit of the shared prime table, here
     set to 1000 (997 and 1009 are the primes around it)."""
-    monkeypatch.setattr(arith, "_table", sieve_primes(1000))
+    monkeypatch.setattr(arith, "_table", (1000, sieve_primes(1000)))
+    limits = _spy_on_sieve(monkeypatch)
     below = [997**2, 999 * 1001, 1000**2 - 1]  # isqrt(n) + 1 <= 1000: the table as it is
     above = [1000**2, 1000**2 + 1, 997 * 1009, 1001**2, 1009**2, 1009 * 1013, 2 * 1009**2]
     for n in below:
         assert factorize(n).factors == factorize_td(n), n
-    assert arith.prime_table(2).limit == 1000
+    assert limits == []
     for n in above:
         assert factorize(n).factors == factorize_td(n), n
-    assert arith.prime_table(2).limit == 2000  # grown once, by doubling
+    assert limits == [2000]  # grown once, by doubling
     assert factorize(1).factors == ()
     assert factorize(2**40).factors == ((2, 40),)
     assert factorize(3**30).factors == ((3, 30),)

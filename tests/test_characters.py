@@ -149,7 +149,7 @@ def test_value_matrix_equals_the_pointwise_definition():
 
 
 def odd_prime_powers(limit):
-    for p in sieve_primes(limit).primes.tolist()[1:]:
+    for p in sieve_primes(limit).tolist()[1:]:
         m = p
         while m <= limit:
             yield m

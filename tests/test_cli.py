@@ -212,6 +212,53 @@ def test_integer_text_is_read_exactly():
     assert cli._integer("1e6") == 10**6
 
 
+@pytest.mark.parametrize("text, value", [
+    ("2.0", 2), ("-3e0", -3), ("1.5e6", 1_500_000), ("1e30", 10**30),
+    (f"{2**53 + 1}.0", 2**53 + 1), ("12345678901234567891e1", 123456789012345678910),
+])
+def test_integral_float_notation_is_read_exactly(text, value):
+    assert cli._integer(text) == value
+    assert cli._int_list(f"{text},{2**53 + 1},7") == [value, 2**53 + 1, 7]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--ineq", "bd", "--Q", "10.7"],
+    ["verify", "--ineq", "bd", "--N", "200.5"],
+    ["verify", "--ineq", "bd", "--M", "1e-3"],
+    ["verify", "--ineq", "bd", "--trials", "1.5"],
+    ["verify", "--ineq", "bd", "--seed", "0.5"],
+    ["verify", "--ineq", "bd", "--Q", "10.0000000000000001"],
+    ["verify", "--ineq", "bd", "--Q", "ten"],
+    ["scan", "prop32", "--qmax", "2.5"],
+    ["constants", "--cutoff", "1000.5"],
+])
+def test_non_integral_integer_option_is_usage_error(capsys, argv):
+    """--Q 10.7 was truncated to 10 and the run went ahead (exit 0)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"argument {argv[-2]}: not an integer: {argv[-1]!r}" in captured.err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["scan", "lemma21", "--q", "10.7", "--x", "1e3"], "10.7"),
+    (["scan", "exceptional", "--D", "5.9"], "5.9"),
+    (["scan", "bt", "--N", "1e4,1.5e4,20000.5"], "20000.5"),
+    (["scan", "prop32", "--D", "5", "--N", "17.5"], "17.5"),
+    (["verify", "--ineq", "thm12", "--P", "2.5,3"], "2.5"),
+])
+def test_non_integral_integer_list_is_usage_error(capsys, argv, value):
+    """--q 10.7 ran at q = 10, --P 2.5,3 at P = {2, 3} and --D 5.9 at D = 5."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"usage error: not an integer: {value!r}\n"
+
+
 @pytest.mark.parametrize("Q, code", [(10**4, 0), (10**4 + 1, 3)])
 def test_Q_budget_is_the_square_root_of_the_sieve_budget(Q, code, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_verify", lambda args: [{"pass": True}])
@@ -358,8 +405,8 @@ def test_prop32_default_truncation_covers_large_conductors(capsys):
     """L1_chiD's default truncation meets T >= D^2 for D = 1009 > 10^3."""
     lo, hi = exceptional.prop32_window(1009, 0.9)
     rep = exceptional.prop32_check(1009, 0.9, int(math.sqrt(lo * hi)), 10)
-    assert rep.D == 1009 and math.isfinite(rep.L1_logD)
-    assert not rep.conclusion_tested
+    assert rep["D"] == 1009 and math.isfinite(rep["L1_logD"])
+    assert not rep["conclusion_tested"]
     assert main(["scan", "prop32", "--D", "1009"]) == 2
 
 

@@ -272,11 +272,11 @@ def test_prop32_guard_paths():
     with pytest.raises(DomainError):
         ex.prop32_check(5, 0.9, 100, 10)  # outside the window
     rep = ex.prop32_check(5, 0.9, 8, 10)
-    assert not rep.hypothesis_satisfied
-    assert not rep.conclusion_tested
-    assert rep.L1_logD == pytest.approx(
+    assert rep["hypothesis_status"] == "not satisfied"
+    assert not rep["conclusion_tested"]
+    assert rep["L1_logD"] == pytest.approx(
         ex.L1_chiD(real_primitive_characters(5)[0]).value * math.log(5), rel=1e-9)
-    assert rep.threshold == pytest.approx(0.9**5)
+    assert rep["threshold"] == pytest.approx(0.9**5)
     with pytest.raises(DomainError):
         ex.prop32_check(5, 1.2, 8, 10)
 

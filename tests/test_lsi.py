@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from largesieve import arith, lsi
-from largesieve.arith import euler_phi, factorize, prime_table
+from largesieve.arith import euler_phi, factorize, primes_upto
 from largesieve.characters import (CharacterGroup, character_group, chi4, group,
                                    is_primitive, primitive_characters)
 from largesieve.errors import DomainError, SupportError
@@ -734,7 +734,7 @@ def test_prime_indicator_stores_only_its_primes(M, N):
 
 
 def test_prime_indicator_matches_the_full_table_on_random_windows():
-    ps = prime_table(3 * 10**5).upto(3 * 10**5)
+    ps = primes_upto(3 * 10**5)
     rng = np.random.default_rng(15)
     for M, N in zip(rng.integers(0, 2 * 10**5, 100).tolist(),
                     rng.integers(0, 10**5, 100).tolist()):
@@ -914,7 +914,7 @@ def test_eq14_support_enforced():
 
 
 def test_eq14_prime_support():
-    ps = prime_table(1000).upto(1000)
+    ps = primes_upto(1000)
     ps = ps[ps > 25]
     vals = np.zeros(975, dtype=np.complex128)
     vals[ps - 26] = 1.0
@@ -968,6 +968,44 @@ def test_eq16_matches_its_sum(Q):
     restriction.zero_forbidden(ones.values, ones.M)
     for a in [*cases, ones, lsi.prime_indicator(100, 300)]:
         assert lsi_eq16(a, Q).lhs == pytest.approx(eq16_lhs(a, Q), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("Q", [1, 7, 12])
+def test_prop21_matches_its_sum(Q):
+    from oracles import unit_weight_lhs
+    for R in (1, 5):
+        restriction = SupportRestriction.rough(R)
+        cases = [random_sequence(300, M=M, seed=27, trial=t, restriction=restriction)
+                 for t, M in enumerate([0, 97, 10**4])]
+        ones = CoefficientSequence.ones(300, 40)
+        restriction.zero_forbidden(ones.values, ones.M)
+        for a in [*cases, ones]:
+            want = unit_weight_lhs(a, Q)
+            assert lsi_prop21(a, Q, R).lhs == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("Q", [1, 7, 12])
+def test_prop22_matches_its_sum(Q):
+    """The sieve of r(n) a_n, r(n) by enumerating the coprime x^2 + y^2 = n."""
+    from oracles import prop22_lhs
+    cases = [random_sequence(300, M=M, seed=28, trial=t) for t, M in enumerate([0, 97, 10**4])]
+    for a in [*cases, CoefficientSequence.ones(300, 40)]:
+        want = prop22_lhs(a, Q)
+        assert lsi_prop22(a, Q, alpha=0.5).lhs == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("Q", [1, 4, 6])
+def test_thm21_matches_its_sum(Q):
+    """8 Q^2 <= N = 300 holds up to Q = 6."""
+    from largesieve.exceptional import thm21_coefficients
+    from oracles import unit_weight_lhs
+    cases = [(thm21_coefficients(300), 2.0001)]
+    cases += [(random_sequence(300, M=M, seed=29, trial=t), 1e9)
+              for t, M in enumerate([0, 97, 10**4])]
+    for a, slack in cases:
+        want = unit_weight_lhs(a, Q)
+        got = lsi_thm21(a, Q, condition_slack=slack).lhs
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_eq16_lhs_below_eq14_lhs():
@@ -1162,10 +1200,10 @@ def test_thm21_guard_and_pass():
 
 def test_brun_titchmarsh():
     bt = brun_titchmarsh(1000, 10**4)
-    assert bt.prime_count <= bt.bound
-    assert bt.passed
+    assert bt["prime_count"] <= bt["bound"]
+    assert bt["pass"]
     bt = brun_titchmarsh(11, 100)
-    assert bt.passed
+    assert bt["pass"]
     with pytest.raises(DomainError):
         brun_titchmarsh(10, 100)  # M <= sqrt(N)
     with pytest.raises(DomainError):
@@ -1174,9 +1212,9 @@ def test_brun_titchmarsh():
 
 def test_brun_titchmarsh_counts_exactly():
     bt = brun_titchmarsh(1000, 2000)
-    ps = prime_table(3000).upto(3000)
+    ps = primes_upto(3000)
     expect = int(np.sum((ps > 1000) & (ps <= 3000)))
-    assert bt.prime_count == expect
+    assert bt["prime_count"] == expect
 
 
 # ---------------------------------------------------------------------

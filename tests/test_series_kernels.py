@@ -20,7 +20,7 @@ from oracles import L_chi4_partial, L1_chiD_chunks, nu_dfs_recursive, zeta_parti
 
 
 def _primes(x, mod4=True, excluded=()):
-    ps = sieve_primes(max(int(x), 2)).primes
+    ps = sieve_primes(max(int(x), 2))
     ps = ps[(ps <= x) & ~np.isin(ps, list(excluded))]
     return ps[ps % 4 == 3] if mod4 else ps
 
