@@ -18,6 +18,7 @@ from largesieve.errors import ResourceLimitError
 # Desk-scale guard: sieving/enumeration requests beyond this raise
 # ResourceLimitError rather than thrash memory.  10^8 entries ~ 100 MB mask.
 SIEVE_LIMIT_BUDGET = 10**8
+INVERSE_PHI_BUDGET = SIEVE_LIMIT_BUDGET // 8  # float64 entries: the same 100 MB
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,8 @@ def squarefree_inverse_phi(n: int) -> np.ndarray:
     phi[p*p::p*p].  phi(r) stays an exact integer in float64, so each entry is
     the correctly rounded 1.0 / euler_phi(r).
     """
-    if n > SIEVE_LIMIT_BUDGET:
-        raise ResourceLimitError(f"table size {n} exceeds budget {SIEVE_LIMIT_BUDGET}")
+    if n > INVERSE_PHI_BUDGET:
+        raise ResourceLimitError(f"table size {n} exceeds budget {INVERSE_PHI_BUDGET}")
     phi = np.ones(n + 1)
     phi[0] = 0.0
     for p in primes_upto(n):

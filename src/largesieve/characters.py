@@ -222,10 +222,6 @@ class DirichletCharacter:
     # ---- classification ---------------------------------------------
 
     @property
-    def is_principal(self) -> bool:
-        return all(a == 0 for a in self.exponents)
-
-    @property
     def order(self) -> int:
         orders = [c.order // math.gcd(c.order, a)
                   for a, c in zip(self.exponents, self.group.components)]

@@ -15,7 +15,7 @@ import re
 import sys
 
 from largesieve import asymptotics, exceptional, lsi
-from largesieve.arith import SIEVE_LIMIT_BUDGET, factorize
+from largesieve.arith import INVERSE_PHI_BUDGET, SIEVE_LIMIT_BUDGET, factorize
 from largesieve.characters import chi4, real_primitive_characters
 from largesieve.errors import DomainError, ResourceLimitError
 
@@ -120,15 +120,15 @@ def _int_list(text: str) -> list[int]:
 def validate_args(args) -> None:
     """Reject inputs that admit no verdict, as a usage error (exit 2).
 
-    A verify run whose N, eq15 range X or prop21 range R exceeds
-    SIEVE_LIMIT_BUDGET, or whose Q exceeds its square root (the residue vectors
-    of the moduli q <= Q hold about Q^2/2 entries), raises ResourceLimitError
-    (exit 3) here, before any work.
+    A verify run whose N exceeds SIEVE_LIMIT_BUDGET, eq15 range X or prop21
+    range R INVERSE_PHI_BUDGET, or Q the square root of SIEVE_LIMIT_BUDGET (the
+    residue vectors of the moduli q <= Q hold about Q^2/2 entries), raises
+    ResourceLimitError (exit 3) here, before any work.
     """
     if args.command == "verify":
         if args.N < 1:
             raise DomainError("N must be >= 1")
-        budget = {"N": SIEVE_LIMIT_BUDGET, "X": SIEVE_LIMIT_BUDGET, "R": SIEVE_LIMIT_BUDGET,
+        budget = {"N": SIEVE_LIMIT_BUDGET, "X": INVERSE_PHI_BUDGET, "R": INVERSE_PHI_BUDGET,
                   "Q": math.isqrt(SIEVE_LIMIT_BUDGET)}
         for name in {"eq15": ("X",), "prop21": ("N", "R", "Q")}.get(args.ineq, ("N", "Q")):
             if math.inf > getattr(args, name) > budget[name]:
@@ -189,28 +189,22 @@ def cmd_verify(args) -> list[dict]:
     elif ineq == "thm21":
         reports.append(lsi.lsi_thm21(exceptional.thm21_coefficients(args.N), args.Q,
                                      condition_slack=args.slack))
-    elif ineq in ("mvs", "bd", "thm13"):
-        fn = {"mvs": lsi.lsi_mvs, "bd": lsi.lsi_bd, "thm13": lsi.lsi_thm13}[ineq]
+    elif ineq in ("mvs", "bd", "thm13", "prop22"):
+        fn = {"mvs": lsi.lsi_mvs, "bd": lsi.lsi_bd, "thm13": lsi.lsi_thm13,
+              "prop22": lambda a, Q: lsi.lsi_prop22(a, Q, alpha=args.alpha)}[ineq]
         for seq in _verify_sequences(args):
             reports.append(fn(seq, args.Q))
-    elif ineq in ("eq14", "eq16"):
-        fn = lsi.lsi_eq14 if ineq == "eq14" else lsi.lsi_eq16
-        restriction = lsi.SupportRestriction.rough(args.Q)
-        for seq in _verify_sequences(args, restriction):
+    elif ineq in ("eq14", "eq16", "prop21"):
+        R = args.R if ineq == "prop21" else args.Q  # the support is R-rough
+        fn = {"eq14": lsi.lsi_eq14, "eq16": lsi.lsi_eq16,
+              "prop21": lambda a, Q: lsi.lsi_prop21(a, Q, R)}[ineq]
+        for seq in _verify_sequences(args, lsi.SupportRestriction.rough(R)):
             reports.append(fn(seq, args.Q))
     elif ineq == "thm12":
         P = frozenset(_int_list(args.P))
         moduli = [q for q in range(1, args.Q + 1) if all(q % p for p in P)]
-        restriction = lsi.SupportRestriction.prime_free(P)
-        for seq in _verify_sequences(args, restriction):
+        for seq in _verify_sequences(args, lsi.SupportRestriction.prime_free(P)):
             reports.append(lsi.lsi_thm12(seq, moduli, P))
-    elif ineq == "prop21":
-        restriction = lsi.SupportRestriction.rough(args.R)
-        for seq in _verify_sequences(args, restriction):
-            reports.append(lsi.lsi_prop21(seq, args.Q, args.R))
-    elif ineq == "prop22":
-        for seq in _verify_sequences(args):
-            reports.append(lsi.lsi_prop22(seq, args.Q, alpha=args.alpha))
     return [report_row(rep, sabotage=args.sabotage) for rep in reports]
 
 
@@ -282,13 +276,12 @@ def scan_exceptional(args) -> list[dict]:
 
 def scan_prop32(args) -> list[dict]:
     rows = []
+    Ns = _int_list(args.N) if args.N else None
     for D in _int_list(args.D):
         for eps in _float_list(args.eps):
             lo, hi = exceptional.prop32_window(D, eps)
-            N = _int_list(args.N)[0] if args.N else int(math.sqrt(lo * hi))
-            if not lo < N < hi:
-                N = max(int(lo) + 1, min(int(hi) - 1, N))
-            rows.append(exceptional.prop32_check(D, eps, N, args.qmax))
+            for N in Ns or [int(math.sqrt(lo * hi))]:  # by default the window's geometric mean
+                rows.append(exceptional.prop32_check(D, eps, N, args.qmax))
     if not any(row["conclusion_tested"] for row in rows):
         raise DomainError("no row meets the hypothesis with a modulus q >= 2 to scan")
     return rows

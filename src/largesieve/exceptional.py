@@ -98,15 +98,6 @@ class ExceptionalSetup:
         return math.floor(self.Q_real)
 
 
-def make_setup(D: int, N: int, f: TestFunction | None = None,
-               char_index: int = 0) -> ExceptionalSetup:
-    """Build a setup, validating 3 <= D <= sqrt(N)/log N, and evaluate it once."""
-    chars = real_primitive_characters(D)
-    if not chars:
-        raise DomainError(f"no real primitive character of conductor {D} exists")
-    return make_setups([chars[char_index]], [N], f)[0]
-
-
 def make_setups(characters: list[DirichletCharacter], Ns: list[int],
                 f: TestFunction | None = None) -> list[ExceptionalSetup]:
     """One setup per pair of a real primitive character and an N, character-major.

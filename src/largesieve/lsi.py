@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -142,43 +142,51 @@ def random_sequence(N: int, M: int = 0, seed: int = 0, trial: int = 0,
 
 @dataclass(frozen=True)
 class SupportRestriction:
-    """The primes that no n carrying a nonzero coefficient may be divisible by."""
+    """No n with a_n != 0 may be divisible by a listed prime or by a prime <= R."""
 
-    primes: frozenset = frozenset()
+    primes: tuple = ()
+    R: int = 1
 
     @classmethod
     def prime_free(cls, primes) -> SupportRestriction:
-        return cls(frozenset(int(p) for p in primes))
+        return cls(tuple(sorted(primes)))
 
     @classmethod
-    def rough(cls, Q: int) -> SupportRestriction:
-        """No prime divisors <= Q."""
-        return cls.prime_free(int(p) for p in primes_upto(Q))
+    def rough(cls, R: int) -> SupportRestriction:
+        """No prime divisors <= R."""
+        return cls(R=R)
+
+    def _struck(self, top: int) -> list:  # the listed primes and those <= min(R, sqrt(top))
+        return [*self.primes, *primes_upto(min(self.R, math.isqrt(top))).tolist()]
 
     def allowed_mask(self, n: np.ndarray) -> np.ndarray:
-        """True where no prime of the restriction divides n, for integers n.
+        """True where n >= 1 is allowed: n is 1 or above R, and no prime of
+        _struck(max(n)) divides it (of 1 < n <= R, only primes survive the strikes).
 
         p divides n = min(n) + k exactly when k = -min(n) (mod p), so each
         prime reduces the offsets k = n - min(n), held in int32 when they and
         the primes are below 2^31 and in n's dtype otherwise, into one reused
-        buffer by _residues.
+        buffer by _residues.  The mask of n > R is built before those buffers.
         """
-        mask = np.ones(n.shape, dtype=bool)
-        if not (n.size and self.primes):
+        struck = self._struck(int(n.max(initial=1)))
+        mask = n > self.R
+        mask |= n == 1
+        if not (n.size and struck):
             return mask
         lo = int(n.min())
-        small = max(int(n.max()) - lo, *self.primes) < 2**31
+        small = max(int(n.max()) - lo, *struck) < 2**31
         k = np.empty(n.shape, dtype=np.int32 if small else n.dtype)
         np.subtract(n, lo, out=k)
         r = np.empty_like(k)
-        for p in sorted(self.primes):
+        for p in struck:
             mask &= _residues(k, p, r) != -lo % p
         return mask
 
     def zero_forbidden(self, values: np.ndarray, M: int) -> None:
-        """Zero values[i], the coefficient of n = M+1+i, wherever a prime divides n."""
-        for p in self.primes:
+        """Zero values[i], the coefficient of n = M+1+i, wherever n is not allowed."""
+        for p in self._struck(M + values.size):
             values[-(M + 1) % p::p] = 0
+        values[max(1 - M, 0):max(self.R - M, 0)] = 0
 
     def validate(self, a: CoefficientSequence, context: str) -> None:
         n = a.nonzero[0]
@@ -557,9 +565,20 @@ def lsi_thm13(a: CoefficientSequence, Q: int) -> InequalityReport:
 def script_L(Q: int, w: np.ndarray) -> float:
     """min over q <= Q of (q/phi(q)) * sum over the r in a set coprime to q of w[r].
 
-    w is arith.squarefree_inverse_phi zeroed off the set.
+    w is arith.squarefree_inverse_phi zeroed off the set.  Only the squarefree q
+    are evaluated, each in one reused copy of w: both factors depend only on rad(q).
     """
-    return min(q / euler_phi(q) * _coprime_total(w.copy(), q) for q in _moduli(Q))
+    buf, L = np.empty_like(w), math.inf
+    for f in (f for f in map(factorize, _moduli(Q)) if all(e == 1 for _, e in f.factors)):
+        buf[:] = w
+        L = min(L, f.n / euler_phi(f) * _coprime_total(buf, f))
+    return L
+
+
+@lru_cache(maxsize=1)
+def _rough_script_L(Q: int, R: int) -> float:
+    """script_L over every r <= R, computed once for all trials of one (Q, R)."""
+    return script_L(Q, arith.squarefree_inverse_phi(R))
 
 
 def lsi_prop21(a: CoefficientSequence, Q: int, R: int) -> InequalityReport:
@@ -569,7 +588,7 @@ def lsi_prop21(a: CoefficientSequence, Q: int, R: int) -> InequalityReport:
         raise DomainError("R must be >= 1")
     SupportRestriction.rough(R).validate(a, "prop21")
     lhs = sieve_lhs(a, lambda q: 1.0, qs)
-    L = script_L(Q, arith.squarefree_inverse_phi(R))
+    L = _rough_script_L(Q, R)
     rhs = math.inf if L == 0 else (Q * Q * R * R + a.N) / L * a.norm_sq
     return make_report("prop21", _params(a, Q=Q, R=R, R_set_size=R),
                        lhs, rhs, extras={"script_L": L})

@@ -261,7 +261,7 @@ def test_criterion_09_section3_suite():
             count += 1
     C0s = []
     for NN in (10**4, 3 * 10**4, 10**5):
-        rep = ex.prop31_report(ex.make_setup(5, NN))
+        rep = ex.prop31_report(ex.make_setups(real_primitive_characters(5), [NN])[0])
         assert rep.passed
         C0s.append(rep.extras["C0"])
     assert all(c < 0 for c in C0s) or all(c > 0 for c in C0s)

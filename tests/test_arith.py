@@ -292,7 +292,11 @@ def test_squarefree_inverse_phi_matches_trial_division():
 
 
 def test_squarefree_inverse_phi_budget(monkeypatch):
-    monkeypatch.setattr(arith, "SIEVE_LIMIT_BUDGET", 1000)
+    # 8 bytes per entry: the bytes of a 10^8-entry mask
+    assert arith.INVERSE_PHI_BUDGET == arith.SIEVE_LIMIT_BUDGET // 8 == 12_500_000
+    with pytest.raises(ResourceLimitError):
+        arith.squarefree_inverse_phi(12_500_001)
+    monkeypatch.setattr(arith, "INVERSE_PHI_BUDGET", 1000)
     assert arith.squarefree_inverse_phi(1000).shape == (1001,)
     with pytest.raises(ResourceLimitError):
         arith.squarefree_inverse_phi(1001)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from largesieve import cli, exceptional, lsi
+from largesieve import arith, cli, exceptional, lsi
 from largesieve.characters import primitive_characters
 from largesieve.cli import main
 
@@ -152,6 +152,21 @@ def test_scan_prop32_tested_row_sets_the_exit_code(capsys, monkeypatch, sum_over
     assert code == (0 if holds else 1)
 
 
+def test_scan_prop32_reads_every_listed_N(capsys, monkeypatch):
+    """The window of D = 5, eps = 0.8 is (12.4, 23.2): 1000 is outside it,
+    and 17 and 20 each get a row."""
+    monkeypatch.setattr(exceptional, "L1_chiD",
+                        lambda chi: exceptional.LTruncation(0.0, 10**6, 1e-6))
+    code = main(["scan", "prop32", "--D", "5", "--eps", "0.8", "--N", "1000,17"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "window" in captured.err and "N = 1000" in captured.err
+    code, out = run_cli(capsys, "scan", "prop32", "--D", "5", "--eps", "0.8", "--N", "17,20")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and [row["N"] for row in rows] == ["17", "20"]
+    assert all(row["conclusion_tested"] == "True" for row in rows)
+
+
 def test_resource_guard_exit_code(capsys):
     code, _ = run_cli(capsys, "scan", "bt", "--N", "1e9")
     assert code == 3
@@ -180,6 +195,8 @@ def test_verify_past_the_sieve_budget_exits_3_before_drawing(capsys, monkeypatch
     ["verify", "--ineq", "eq15", "--X", "1e12"],  # a table of 1/phi(r) for r <= X
     ["verify", "--ineq", "prop21", "--R", "1000000000"],  # the same table up to R
     ["verify", "--ineq", "mvs", "--N", "10", "--Q", "1e9"],  # residue vectors of ~Q^2/2 entries
+    ["verify", "--ineq", "eq15", "--X", "2e7"],  # over the table's own budget of 1.25e7
+    ["verify", "--ineq", "prop21", "--R", "2e7"],
 ])
 def test_ranges_past_the_budget_exit_3_before_any_work(argv, capsys, monkeypatch):
     def refuse(*args, **kwargs):
@@ -310,6 +327,22 @@ def test_json_is_strict_and_prop21_checks_something(capsys):
     assert code == 0
     (row,) = json.loads(out, parse_constant=_reject_constant)
     assert math.isfinite(row["rhs"]) and row["pass"] is True
+
+
+def test_prop21_builds_its_one_over_phi_table_once_per_run(capsys, monkeypatch):
+    calls = []
+    table = arith.squarefree_inverse_phi
+
+    def counted(n):
+        calls.append(n)
+        return table(n)
+
+    monkeypatch.setattr(arith, "squarefree_inverse_phi", counted)
+    lsi._rough_script_L.cache_clear()
+    code, out = run_cli(capsys, "verify", "--ineq", "prop21", "--N", "300", "--Q", "6",
+                        "--R", "17", "--trials", "3")
+    assert code == 0 and len(out.splitlines()) == 1 + 3
+    assert calls == [17]
 
 
 def test_json_encodes_non_finite_as_csv_text(capsys):

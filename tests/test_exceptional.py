@@ -142,22 +142,25 @@ def test_eq37():
         eq37_check(CoefficientSequence(0, np.array([1j])), c5)
 
 
+def one_setup(D, N, f=None, index=0):
+    """The setup of the index-th real primitive character of conductor D alone."""
+    return ex.make_setups(real_primitive_characters(D)[index:index + 1], [N], f)[0]
+
+
 def test_make_setup_validation():
     with pytest.raises(DomainError):
-        ex.make_setup(6, 10**4)  # no real primitive character mod 6
-    with pytest.raises(DomainError):
-        ex.make_setup(12, 10**4)  # 12 > sqrt(N)/log N ~ 10.9
-    setup = ex.make_setup(5, 10**4)
+        one_setup(12, 10**4)  # 12 > sqrt(N)/log N ~ 10.9
+    setup = one_setup(5, 10**4)
     assert setup.Q == 10 and setup.chi_D.modulus == 5
 
 
 def test_lemma31_and_prop31():
-    setup = ex.make_setup(5, 10**4)
+    setup = one_setup(5, 10**4)
     rep = ex.lemma31_report(setup)
     assert rep.passed
     assert rep.extras["A1"] == rep.extras["A2"] == 1.0
     assert abs(rep.extras["fitted_kappa"]) < 50
-    bump_setup = ex.make_setup(5, 10**4, ex.smooth_bump_function())
+    bump_setup = one_setup(5, 10**4, ex.smooth_bump_function())
     bump_rep = ex.lemma31_report(bump_setup)
     assert bump_rep.extras["A2"] < bump_rep.extras["A1"]
     assert bump_rep.extras["main_term_1"] < rep.extras["main_term_1"]
@@ -168,7 +171,7 @@ def test_lemma31_and_prop31():
 
 
 def test_prop31_checks_the_fitted_constant_against_its_limit(monkeypatch):
-    setup = ex.make_setup(5, 10**4)
+    setup = one_setup(5, 10**4)
     rep = ex.prop31_report(setup)
     N, L1 = setup.N, rep.extras["L1"]
     assert rep.extras["C0_limit"] == ex.CONSTANT_LIMIT
@@ -179,12 +182,12 @@ def test_prop31_checks_the_fitted_constant_against_its_limit(monkeypatch):
     true_lhs = ex._log_weighted_lhs
     scale = 2 * rep.rhs / rep.lhs
     monkeypatch.setattr(ex, "_log_weighted_lhs", lambda *args: scale * true_lhs(*args))
-    inflated = ex.prop31_report(ex.make_setup(5, 10**4))
+    inflated = ex.prop31_report(one_setup(5, 10**4))
     assert inflated.rhs == rep.rhs and not inflated.passed
 
 
 def test_prop31_excluding_chi_D_decreases_lhs():
-    setup = ex.make_setup(5, 10**4)
+    setup = one_setup(5, 10**4)
     a = ex.coeffs_lambda_f(setup.N, setup.f)
     Q = setup.Q_real
     full = ex.sieve_lhs(a, lambda q: math.log(Q / q), range(2, setup.Q + 1))
@@ -213,7 +216,7 @@ def test_lemma31_prop31_and_eq31_left_sides_against_their_sum(D):
         assert ex.eq31_check(a, Q, chi_D).lhs == pytest.approx(
             log_weighted_lhs(a, Q, chi_D), rel=1e-12, abs=0.0), chi_D
     if D <= 5:  # Q_real = sqrt(N)/log N is 5.88 at N = 2000
-        setup = ex.make_setup(D, 2000)
+        setup = one_setup(D, 2000)
         want = log_weighted_lhs(ex.coeffs_lambda_f(2000, setup.f), setup.Q_real, setup.chi_D)
         for report in (ex.lemma31_report, ex.prop31_report):
             assert report(setup).lhs == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -262,7 +265,7 @@ def test_make_setups_agrees_with_one_setup_at_a_time():
     pairs = [(D, idx) for D in (5, 8) for idx in range(len(real_primitive_characters(D)))]
     chars = [real_primitive_characters(D)[idx] for D, idx in pairs]
     Ns = [10**4, 2 * 10**4]
-    assert ex.make_setups(chars, Ns, f) == [ex.make_setup(D, N, f, char_index=idx)
+    assert ex.make_setups(chars, Ns, f) == [one_setup(D, N, f, index=idx)
                                             for D, idx in pairs for N in Ns]
     with pytest.raises(DomainError):
         ex.make_setups(chars, [10**4, 10**3])  # D = 8 > sqrt(N)/log N at N = 10^3

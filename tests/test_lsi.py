@@ -96,16 +96,55 @@ def test_allowed_mask_matches_the_gcd_oracle():
     m = 83 * 13_331  # 1,106,473, free of every prime below 83
     planted = np.insert(primes, np.searchsorted(primes, m), m)
     mask = rough.allowed_mask(planted)
-    assert np.array_equal(mask, mask_by_gcd(planted, rough.primes))
+    assert np.array_equal(mask, mask_by_gcd(planted, primes_upto(86)))
     assert list(planted[~mask]) == [m]
     a = CoefficientSequence(1_029_919, np.ones(planted.size), N=1_500_000, index=planted)
     with pytest.raises(SupportError, match=r"eq16: 1 coefficients .*\(first at n=1106473\)"):
         rough.validate(a, "eq16")
     wide = np.sort(np.random.default_rng(3).integers(1, 10**12, 20000))  # span above 2^31
     assert wide[-1] - wide[0] >= 2**31
-    for restriction in (rough, SupportRestriction.prime_free([3, 7, 101, 2**31 + 11])):
-        assert np.array_equal(restriction.allowed_mask(wide),
-                              mask_by_gcd(wide, restriction.primes))
+    listed = [3, 7, 101, 2**31 + 11]
+    for restriction, primes in ((rough, primes_upto(86)),
+                                (SupportRestriction.prime_free(listed), listed)):
+        assert np.array_equal(restriction.allowed_mask(wide), mask_by_gcd(wide, primes))
+
+
+@pytest.mark.parametrize("M, N, R", [
+    (0, 2000, 1), (0, 2000, 7), (0, 2000, 44), (0, 2000, 45), (0, 2000, 500),
+    (0, 2000, 2000), (0, 2000, 10**7), (0, 2209, 47), (0, 2209, 100),  # 2209 = 47^2
+    (997, 3000, 30), (997, 3000, 62), (997, 3000, 2500),
+    (10**6, 500, 1000), (10**6, 500, 1100), (10**6, 0, 50)])
+def test_rough_support_is_no_prime_up_to_R_by_trial_division(M, N, R):
+    """R below and above sqrt(M + N), M = 0 (n = 1 allowed), R >= M + N, no n."""
+    from oracles import factorize_td
+    n = np.arange(M + 1, M + N + 1)
+    want = np.array([all(p > R for p, _ in factorize_td(int(k))) for k in n],
+                    dtype=bool)
+    rough = SupportRestriction.rough(R)
+    assert np.array_equal(rough.allowed_mask(n), want)
+    sparse = np.sort(np.random.default_rng(R).choice(n, size=N // 7, replace=False))
+    assert np.array_equal(rough.allowed_mask(sparse), want[sparse - (M + 1)])
+    values = np.ones(N)
+    rough.zero_forbidden(values, M)
+    assert np.array_equal(values != 0, want)
+
+
+def test_a_rough_check_sieves_only_to_the_square_root(monkeypatch):
+    asked = []
+
+    def spy(x):
+        asked.append(x)
+        return primes_upto(x)
+
+    monkeypatch.setattr(lsi, "primes_upto", spy)
+    rough = SupportRestriction.rough(10**8)
+    assert not rough.allowed_mask(np.arange(1001, 10**4 + 1)).any()  # each n <= R
+    with pytest.raises(SupportError, match=r"prop21: 9000 coefficients .*\(first at n=1001\)"):
+        rough.validate(CoefficientSequence.ones(9000, 1000), "prop21")
+    values = np.ones(9000)
+    rough.zero_forbidden(values, 1000)
+    assert not values.any()
+    assert asked and max(asked) <= 100
 
 
 def test_support_check_and_sparse_reads_hold_little_memory():
