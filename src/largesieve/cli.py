@@ -8,6 +8,7 @@ inequality failure, 2 usage error or nothing tested, 3 resource guard.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import decimal
 import json
 import math
@@ -21,6 +22,9 @@ from largesieve.errors import DomainError, ResourceLimitError
 
 INEQUALITIES = ["mvs", "bd", "thm12", "eq14", "eq15", "eq16", "thm13",
                 "prop21", "prop22", "thm21"]
+# Read as text by argparse and as finite floats by validate_args, so that main
+# reports a non-finite value as a usage error (exit 2), as it does other bad values.
+FLOAT_OPTIONS = {"verify": ("X", "alpha", "slack"), "constants": ("s",)}
 
 
 def _fmt(x) -> str:
@@ -65,33 +69,32 @@ def _json_value(x):
 
 
 def emit(rows: list[dict], columns: list[str], args) -> None:
-    out = sys.stdout
-    close = False
-    if args.out:
-        out = open(args.out, "w")
-        close = True
+    """Write the rows to --out or stdout; an --out that cannot be written is a usage error."""
     try:
-        if args.format == "json":
-            rows = [{k: _json_value(v) for k, v in row.items()} for row in rows]
-            out.write(json.dumps(rows, default=str, indent=2, allow_nan=False))
-            out.write("\n")
-        else:
-            out.write(",".join(columns) + "\n")
-            for row in rows:
-                out.write(",".join(_fmt(row.get(c, "")) for c in columns) + "\n")
-    finally:
-        if close:
-            out.close()
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            if args.format == "json":
+                rows = [{k: _json_value(v) for k, v in row.items()} for row in rows]
+                out.write(json.dumps(rows, default=str, indent=2, allow_nan=False))
+                out.write("\n")
+            else:
+                out.write(",".join(columns) + "\n")
+                for row in rows:
+                    out.write(",".join(_fmt(row.get(c, "")) for c in columns) + "\n")
+    except OSError as exc:
+        if not args.out:
+            raise
+        raise DomainError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
 
 
-def _float_list(text: str) -> list[float]:
+def _finite(text: str, wanted: str = "a number") -> float:
+    """text read as a finite float: a float option (FLOAT_OPTIONS) or list entry."""
     try:
-        values = [float(part) for part in text.split(",") if part]
+        value = float(text)
     except ValueError:
-        values = [math.nan]
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"not a comma list of finite numbers: {text!r}")
-    return values
+        raise argparse.ArgumentTypeError(f"not {wanted}: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _integer(text: str) -> int:
@@ -100,17 +103,15 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        pass
-    try:
-        finite = math.isfinite(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not finite:
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        _finite(text, "an integer")
     value = decimal.Decimal(text)
     if value != value.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(value)
+
+
+def _float_list(text: str) -> list[float]:
+    return [_finite(part) for part in text.split(",") if part]
 
 
 def _int_list(text: str) -> list[int]:
@@ -123,15 +124,18 @@ def validate_args(args) -> None:
     A verify run whose N exceeds SIEVE_LIMIT_BUDGET, eq15 range X or prop21
     range R INVERSE_PHI_BUDGET, or Q the square root of SIEVE_LIMIT_BUDGET (the
     residue vectors of the moduli q <= Q hold about Q^2/2 entries), raises
-    ResourceLimitError (exit 3) here, before any work.
+    ResourceLimitError (exit 3) here, before any work.  The float options
+    are read here, from their text, by _finite.
     """
+    for name in FLOAT_OPTIONS.get(args.command, ()):
+        setattr(args, name, _finite(getattr(args, name)))
     if args.command == "verify":
         if args.N < 1:
             raise DomainError("N must be >= 1")
         budget = {"N": SIEVE_LIMIT_BUDGET, "X": INVERSE_PHI_BUDGET, "R": INVERSE_PHI_BUDGET,
                   "Q": math.isqrt(SIEVE_LIMIT_BUDGET)}
         for name in {"eq15": ("X",), "prop21": ("N", "R", "Q")}.get(args.ineq, ("N", "Q")):
-            if math.inf > getattr(args, name) > budget[name]:
+            if math.floor(getattr(args, name)) > budget[name]:  # eq15 tabulates floor(X)
                 raise ResourceLimitError(
                     f"{name} = {getattr(args, name)} exceeds budget {budget[name]}")
         if args.seed < 0:
@@ -182,29 +186,24 @@ def _verify_sequences(args, restriction=None):
 
 
 def cmd_verify(args) -> list[dict]:
-    ineq = args.ineq
-    reports: list[lsi.InequalityReport] = []
-    if ineq == "eq15":
-        reports.append(lsi.check_eq15(args.q, args.X))
-    elif ineq == "thm21":
-        reports.append(lsi.lsi_thm21(exceptional.thm21_coefficients(args.N), args.Q,
-                                     condition_slack=args.slack))
-    elif ineq in ("mvs", "bd", "thm13", "prop22"):
-        fn = {"mvs": lsi.lsi_mvs, "bd": lsi.lsi_bd, "thm13": lsi.lsi_thm13,
-              "prop22": lambda a, Q: lsi.lsi_prop22(a, Q, alpha=args.alpha)}[ineq]
-        for seq in _verify_sequences(args):
-            reports.append(fn(seq, args.Q))
-    elif ineq in ("eq14", "eq16", "prop21"):
-        R = args.R if ineq == "prop21" else args.Q  # the support is R-rough
-        fn = {"eq14": lsi.lsi_eq14, "eq16": lsi.lsi_eq16,
-              "prop21": lambda a, Q: lsi.lsi_prop21(a, Q, R)}[ineq]
-        for seq in _verify_sequences(args, lsi.SupportRestriction.rough(R)):
-            reports.append(fn(seq, args.Q))
-    elif ineq == "thm12":
-        P = frozenset(_int_list(args.P))
-        moduli = [q for q in range(1, args.Q + 1) if all(q % p for p in P)]
-        for seq in _verify_sequences(args, lsi.SupportRestriction.prime_free(P)):
-            reports.append(lsi.lsi_thm12(seq, moduli, P))
+    Q, rough = args.Q, lsi.SupportRestriction.rough
+    if args.ineq == "eq15":
+        reports = [lsi.check_eq15(args.q, args.X)]
+    elif args.ineq == "thm21":
+        reports = [lsi.lsi_thm21(exceptional.thm21_coefficients(args.N), Q,
+                                 condition_slack=args.slack)]
+    else:
+        P = frozenset(_int_list(args.P)) if args.ineq == "thm12" else frozenset()
+        report, support = {  # inequality -> (report on a sequence and Q, support restriction)
+            "mvs": (lsi.lsi_mvs, None), "bd": (lsi.lsi_bd, None), "thm13": (lsi.lsi_thm13, None),
+            "prop22": (lambda a, Q: lsi.lsi_prop22(a, Q, alpha=args.alpha), None),
+            "eq14": (lsi.lsi_eq14, rough(Q)), "eq16": (lsi.lsi_eq16, rough(Q)),
+            "prop21": (lambda a, Q: lsi.lsi_prop21(a, Q, args.R), rough(args.R)),
+            "thm12": (lambda a, Q: lsi.lsi_thm12(
+                a, [q for q in range(1, Q + 1) if all(q % p for p in P)], P),
+                lsi.SupportRestriction.prime_free(P)),
+        }[args.ineq]
+        reports = [report(seq, Q) for seq in _verify_sequences(args, support)]
     return [report_row(rep, sabotage=args.sabotage) for rep in reports]
 
 
@@ -236,11 +235,8 @@ def cmd_constants(args) -> list[dict]:
 
 
 def scan_bt(args) -> list[dict]:
-    rows = []
-    for N in _int_list(args.N or "1e4"):
-        M = args.M if args.M is not None else N
-        rows.append(lsi.brun_titchmarsh(M, N))
-    return rows
+    return [lsi.brun_titchmarsh(N if args.M is None else args.M, N)
+            for N in _int_list(args.N or "1e4")]
 
 
 def scan_lemma21(args) -> list[dict]:
@@ -320,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=_integer, default=20)
     v.add_argument("--seed", type=_integer, default=0)
     v.add_argument("--q", type=_integer, default=1, help="modulus for eq15")
-    v.add_argument("--X", type=float, default=100.0, help="range for eq15")
+    v.add_argument("--X", default="100", help="range for eq15")
     v.add_argument("--P", default="2,3", help="excluded primes for thm12")
     v.add_argument("--R", type=_integer, default=5, help="coprimality range for prop21")
-    v.add_argument("--alpha", type=float, default=1.0, help="prop22 threshold constant")
-    v.add_argument("--slack", type=float, default=1.0,
+    v.add_argument("--alpha", default="1.0", help="prop22 threshold constant")
+    v.add_argument("--slack", default="1.0",
                    help="thm21 coefficient-condition slack factor")
     v.add_argument("--ones", action="store_true",
                    help="use the all-ones sequence instead of random trials")
@@ -334,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--cutoff", type=_integer, default=10**6)
     c.add_argument("--T", type=_integer, default=10**6,
                    help="truncation for L(1, chi_4)")
-    c.add_argument("--s", type=float, default=2.0, help="series comparison point")
+    c.add_argument("--s", default="2.0", help="series comparison point")
 
     s = sub.add_parser("scan", help="grid scans with fitted constants")
     s.add_argument("name", choices=["bt", "lemma21", "exceptional", "prop32"])
@@ -351,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         validate_args(args)
         if args.command == "verify":
@@ -366,13 +361,13 @@ def main(argv=None) -> int:
             rows = handler(args)
         if not rows:
             raise DomainError("the arguments select nothing to check")
+        emit(rows, list(rows[0]), args)
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, argparse.ArgumentTypeError) as exc:  # the latter from _int_list
+    except (DomainError, argparse.ArgumentTypeError) as exc:  # the latter from _finite, _int_list
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    emit(rows, list(rows[0]), args)
     failed = sum(1 for row in rows if row.get("pass") is False)
     return 1 if failed else 0
 

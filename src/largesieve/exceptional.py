@@ -21,8 +21,9 @@ from largesieve.characters import (DirichletCharacter, group, is_primitive,  # n
                                    real_primitive_characters)
 from largesieve.errors import DomainError, ResourceLimitError
 from largesieve.lsi import (REL_TOL, CoefficientSequence, InequalityReport,  # noqa: F401
-                            _residues, char_sum, make_report, prime_indicator,
-                            primitive_char_sums, residue_sums, sieve_lhs)
+                            _residues, char_sum, energies, log_weights, make_report,
+                            ordered_sum, prime_indicator, primitive_char_sums,
+                            residue_sums)
 
 
 # ---------------------------------------------------------------------
@@ -214,7 +215,9 @@ def L1_chiD(chi_D: DirichletCharacter, truncation: int | None = None) -> LTrunca
 
 def _log_weighted_sieve(a: CoefficientSequence, Q: float) -> float:
     """sum over 1 < q <= Q of log(Q/q) sum* over chi of |S_chi|^2, the full sieve."""
-    return sieve_lhs(a, lambda q: math.log(Q / q), range(2, math.floor(Q) + 1))
+    w = log_weights(Q)
+    w[1] = 0.0  # the sieve starts at q = 2
+    return ordered_sum(energies(a, math.floor(Q)) * w)
 
 
 def _log_weighted_lhs(a: CoefficientSequence, Q: float, chi_D: DirichletCharacter,

@@ -2,16 +2,18 @@
 
 Each evaluator computes the exact left and right sides of one inequality
 for a concrete coefficient sequence and returns an InequalityReport.
-sieve_lhs weights primitive energies E(q; a mod q), the sum of |S(chi)|^2
-over the primitive chi mod q, over a q-range, and thm13 weights E of
-Ramanujan-twisted folds; thm12 and eq14 are one additive sieve over the
-reduced fractions x/q (reduced_fraction_lhs).  Every residue vector comes
-from residue_folds, which reads the coefficients only for the moduli in
-(top/2, top], two of them at a time (mod their lcm L) when 4 L is at most
-the entries a read touches, and folds the others from them; with Q^2 << N
-that halves the passes over the coefficients (bd at N = 1e6, Q = 150:
-0.185 -> 0.135 s end to end).  Each term is a Python float, and the terms
-are added in a fixed order, so results are reproducible bit for bit.
+energies(a, Q) is the vector of primitive energies E(q; a mod q), the sum
+of |S(chi)|^2 over the primitive chi mod q, for q = 0..Q; every
+multiplicative sieve is a weight array (phi_weights, log_weights or 1) times
+that vector.  thm13 weights E of Ramanujan-twisted folds; thm12 and eq14 are
+one additive sieve over the reduced fractions x/q (reduced_fraction_lhs).
+Every residue vector comes from residue_folds, which reads the coefficients
+only for the moduli in (top/2, top], two of them at a time (mod their lcm L)
+when 4 L is at most the entries a read touches, and folds the others from
+them; with Q^2 << N that halves the passes over the coefficients (bd at
+N = 1e6, Q = 150: 0.185 -> 0.135 s end to end).  Every left side ends in
+ordered_sum, which adds its float64 terms one at a time in a fixed order,
+so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -410,21 +412,25 @@ def primitive_energy(a: CoefficientSequence, q: int, b: np.ndarray) -> float:
     return float(np.sum(np.abs(primitive_char_sums(a, q, b)[1]) ** 2))
 
 
-def sieve_lhs(a: CoefficientSequence, weight, qs) -> float:
-    """sum over q in qs of weight(q) * E(q), added in the order of qs.
+def energies(a: CoefficientSequence, Q: int) -> np.ndarray:
+    """E[q] = E(q; a mod q) for q = 0..Q as float64, with E[0] = 0.0.
 
-    E(q) is primitive_energy of b = a mod q.  The E(q) come from
-    residue_folds, in its order, and are kept as floats until the weighted
-    sum.  No primitive character exists mod q = 2 (mod 4), so those q need
-    no fold and add weight(q) * 0.0.
+    Each E[q] is primitive_energy of a fold from residue_folds, in its order.
+    No primitive character exists mod q = 2 (mod 4): those q keep E[q] = 0.0.
     """
-    energy = {}
-    for q, b in residue_folds(a, [q for q in qs if q % 4 != 2]):
-        energy[q] = primitive_energy(a, q, b)
-    lhs = 0.0
-    for q in qs:
-        lhs += weight(q) * energy.get(q, 0.0)
-    return lhs
+    E = np.zeros(Q + 1)
+    for q, b in residue_folds(a, [q for q in _moduli(Q) if q % 4 != 2]):
+        E[q] = primitive_energy(a, q, b)
+    return E
+
+
+def ordered_sum(terms: np.ndarray) -> float:
+    """The float64 terms added one at a time, first to last; 0.0 if there are none.
+
+    terms is overwritten by its partial sums.  np.add.accumulate adds in this
+    order on every Python version; sum() of floats is compensated from 3.12 on.
+    """
+    return float(np.add.accumulate(terms, out=terms)[-1]) if terms.size else 0.0
 
 
 def reduced_fraction_lhs(a: CoefficientSequence, moduli) -> float:
@@ -433,17 +439,14 @@ def reduced_fraction_lhs(a: CoefficientSequence, moduli) -> float:
     S(chi) sums c = a mod q zeroed off the units.  By Gauss-sum duality
     (Davenport, Multiplicative Number Theory, ch. 27) the term of q is the
     sum of |fft(c)[x]|^2 over the units x, the additive sieve at the reduced
-    fractions x/q.  The terms are added as floats in the order of moduli.
+    fractions x/q.  The terms are added by ordered_sum in the order of moduli.
     """
     terms = {}
     for q, b in residue_folds(a, moduli):
         units = np.gcd(np.arange(q), q) == 1
         s = np.fft.fft(b * units)[units]
         terms[q] = float(np.vdot(s, s).real)
-    lhs = 0.0
-    for q in moduli:
-        lhs += terms[q]
-    return lhs
+    return ordered_sum(np.array([terms[q] for q in moduli], dtype=np.float64))
 
 
 def _moduli(Q: int) -> range:
@@ -457,7 +460,17 @@ def _coprime_total(w: np.ndarray, q: int) -> float:
     """Sum of w[r] over the r coprime to q, added in ascending r; w is overwritten."""
     for p in factorize(q).prime_factors:
         w[::p] = 0.0
-    return float(np.add.accumulate(w, out=w)[-1])
+    return ordered_sum(w)
+
+
+def phi_weights(Q: int) -> np.ndarray:
+    """q/phi(q) at q = 0..Q, 0.0 at q = 0: the weights of mvs and bd."""
+    return np.array([0.0] + [q / euler_phi(q) for q in range(1, Q + 1)])
+
+
+def log_weights(Q: float) -> np.ndarray:
+    """log(Q/q) at q = 0..floor(Q), 0.0 at q = 0: the weights of eq16."""
+    return np.array([0.0] + [math.log(Q / q) for q in range(1, math.floor(Q) + 1)])
 
 
 # ---------------------------------------------------------------------
@@ -466,14 +479,14 @@ def _coprime_total(w: np.ndarray, q: int) -> float:
 
 def lsi_mvs(a: CoefficientSequence, Q: int) -> InequalityReport:
     """Montgomery-Vaughan/Selberg form: RHS weight N + Q^2."""
-    lhs = sieve_lhs(a, lambda q: q / euler_phi(q), _moduli(Q))
+    lhs = ordered_sum(energies(a, Q) * phi_weights(Q))
     rhs = (a.N + Q * Q) * a.norm_sq
     return make_report("mvs", _params(a, Q=Q), lhs, rhs)
 
 
 def lsi_bd(a: CoefficientSequence, Q: int) -> InequalityReport:
     """Original Bombieri-Davenport form: RHS weight (sqrt(N) + Q)^2."""
-    lhs = sieve_lhs(a, lambda q: q / euler_phi(q), _moduli(Q))
+    lhs = ordered_sum(energies(a, Q) * phi_weights(Q))
     rhs = (math.sqrt(a.N) + Q) ** 2 * a.norm_sq
     return make_report("bd", _params(a, Q=Q), lhs, rhs)
 
@@ -526,7 +539,7 @@ def check_eq15(q: int, X: float) -> InequalityReport:
 def lsi_eq16(a: CoefficientSequence, Q: int) -> InequalityReport:
     """Log-weighted sieve: weights log(Q/q) over primitive characters."""
     SupportRestriction.rough(Q).validate(a, "eq16")
-    lhs = sieve_lhs(a, lambda q: math.log(Q / q), _moduli(Q))
+    lhs = ordered_sum(energies(a, Q) * log_weights(Q))
     rhs = (math.sqrt(a.N) + Q) ** 2 * a.norm_sq
     return make_report("eq16", _params(a, Q=Q), lhs, rhs)
 
@@ -537,8 +550,8 @@ def lsi_thm13(a: CoefficientSequence, Q: int) -> InequalityReport:
     The term of each coprime pair (q, r), qr <= Q, is q/phi(qr) E(q) of
     b_u c_r(u) for b = a mod qr, folded to mod q.  Each table c_r is built
     once per r.  The terms are computed in the order of residue_folds and
-    added in ascending (q, r).  E(q) = 0.0 at q = 2 (mod 4), so those pairs
-    are skipped; every m keeps its pair (1, m).
+    added by ordered_sum in ascending (q, r).  E(q) = 0.0 at q = 2 (mod 4),
+    so those pairs are skipped; every m keeps its pair (1, m).
     """
     tables = {r: expsums.ramanujan_table(r) for r in _moduli(Q)}
     pairs = {}
@@ -551,9 +564,7 @@ def lsi_thm13(a: CoefficientSequence, Q: int) -> InequalityReport:
         for q, r in pairs[m]:
             twisted = b * np.tile(tables[r], q)
             terms[q, r] = q / euler_phi(m) * primitive_energy(a, q, fold(twisted, q))
-    lhs = 0.0
-    for key in sorted(terms):
-        lhs += terms[key]
+    lhs = ordered_sum(np.array([terms[key] for key in sorted(terms)], dtype=np.float64))
     rhs = (a.N + Q * Q) * a.norm_sq
     return make_report("thm13", _params(a, Q=Q), lhs, rhs)
 
@@ -583,11 +594,10 @@ def _rough_script_L(Q: int, R: int) -> float:
 
 def lsi_prop21(a: CoefficientSequence, Q: int, R: int) -> InequalityReport:
     """Unit-weight sieve for support coprime to every r in {1, ..., R} (R-rough)."""
-    qs = _moduli(Q)
     if R < 1:
         raise DomainError("R must be >= 1")
     SupportRestriction.rough(R).validate(a, "prop21")
-    lhs = sieve_lhs(a, lambda q: 1.0, qs)
+    lhs = ordered_sum(energies(a, Q))
     L = _rough_script_L(Q, R)
     rhs = math.inf if L == 0 else (Q * Q * R * R + a.N) / L * a.norm_sq
     return make_report("prop21", _params(a, Q=Q, R=R, R_set_size=R),
@@ -601,12 +611,12 @@ def lsi_prop22(a: CoefficientSequence, Q: int, alpha: float = 1.0) -> Inequality
     alpha is the unspecified threshold constant: the guard requires
     N >= Q^2 exp((alpha log log Q)^3).
     """
-    qs = _moduli(Q)
+    _moduli(Q)  # Q >= 1 before log log Q is taken
     N = a.N
-    if Q == 1:
-        threshold = 0.0
-    else:
-        threshold = Q * Q * math.exp((alpha * math.log(math.log(Q))) ** 3)
+    try:
+        threshold = 0.0 if Q == 1 else Q * Q * math.exp((alpha * math.log(math.log(Q))) ** 3)
+    except OverflowError:  # exp((alpha log log Q)^3) is 0 or inf to a float
+        threshold = 0.0 if alpha * math.log(math.log(Q)) < 0 else math.inf
     if N < threshold or N <= Q * Q:
         raise DomainError(
             f"prop22 requires N >= Q^2 exp((alpha log log Q)^3) = {threshold:.6g} "
@@ -614,7 +624,7 @@ def lsi_prop22(a: CoefficientSequence, Q: int, alpha: float = 1.0) -> Inequality
     r_n = arith.r2_coprime_table(a.M + N)[a.M + 1:].astype(np.float64)
     values = a.dense()
     weighted = CoefficientSequence(a.M, r_n * values)
-    lhs = sieve_lhs(weighted, lambda q: 1.0, qs)
+    lhs = ordered_sum(energies(weighted, Q))
     denom = math.sqrt(math.log(N / (Q * Q)))
     rhs = 2 * N / denom * float(np.sum(r_n**2 * np.abs(values) ** 2))
     R = math.sqrt(N) / Q
@@ -648,28 +658,18 @@ def thm21_conditions(a: CoefficientSequence, slack: float = 1.0) -> ConditionChe
     The second condition demands, for every prime p <= N, that the mass on
     multiples of p be at most slack * (1/p)(log p / log N)^2.
     """
-    N = a.N
-    logN = math.log(N) if N > 1 else 1.0
+    logN = math.log(a.N) if a.N > 1 else 1.0
     abs2 = np.abs(a.dense()) ** 2
     norm_sq = float(abs2.sum())
-    ok = norm_sq <= slack * (1 + REL_TOL)
-    witness = None
-    worst_ratio = norm_sq
-    worst_p = None
-    for p in primes_upto(N):
-        p = int(p)
-        first = (a.M // p + 1) * p  # smallest multiple of p above M
-        if first > a.M + N:
-            continue
-        mass = float(abs2[first - a.M - 1 :: p].sum())
+    witness, worst_p, worst_ratio = None, None, norm_sq
+    for p in primes_upto(a.N).tolist():
+        mass = float(abs2[-(a.M + 1) % p::p].sum())  # the multiples of p in (M, M+N]
         bound = (math.log(p) / logN) ** 2 / p
-        ratio = mass / bound
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_p = p
-        if mass > slack * bound * (1 + REL_TOL) and witness is None:
+        if mass / bound > worst_ratio:
+            worst_p, worst_ratio = p, mass / bound
+        if witness is None and mass > slack * bound * (1 + REL_TOL):
             witness = p
-            ok = False
+    ok = norm_sq <= slack * (1 + REL_TOL) and witness is None
     return ConditionCheck(ok, witness, norm_sq, worst_ratio, worst_p)
 
 
@@ -690,7 +690,7 @@ def lsi_thm21(a: CoefficientSequence, Q: int,
             "thm21 coefficient conditions fail"
             + (f" at witness prime p = {check.witness}" if check.witness is not None
                else f": sum |a_n|^2 = {check.norm_sq:.6g} > {condition_slack}"))
-    lhs = sieve_lhs(a, lambda q: 1.0, _moduli(Q))
+    lhs = ordered_sum(energies(a, Q))
     rhs = 24 * N / math.log(N / (Q * Q))
     empirical = lhs * math.log(N / (Q * Q)) / N
     return make_report("thm21", _params(a, Q=Q, condition_slack=condition_slack),

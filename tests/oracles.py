@@ -217,6 +217,22 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     return complex(values @ phases)
 
 
+def additive_energy(a: CoefficientSequence, q: int) -> float:
+    """A(q) = sum over x mod q, (x, q) = 1, of |S(x/q)|^2, S(alpha) = sum_n a_n e(n alpha).
+
+    The sign is e(+n x/q); e(-n x/q) gives the same A, as x -> -x permutes
+    the units.  e(n x/q) depends on n mod q only, so S(x/q) is summed as
+    sum over u mod q of b_u e(u x/q), b_u the sum of the a_n with n % q = u
+    (Python's %, no fold and no FFT), and (u x) % q is taken in integers.
+    """
+    n, vals = a.nonzero
+    b = np.zeros(q, dtype=np.complex128)
+    np.add.at(b, n % q, vals)
+    units = np.array([x for x in range(q) if math.gcd(x, q) == 1])
+    phases = np.exp(2j * np.pi * (np.outer(units, np.arange(q)) % q) / q)
+    return float(np.sum(np.abs(phases @ b) ** 2))
+
+
 def primitive_sums(a: CoefficientSequence, q: int) -> list[tuple[DirichletCharacter, complex]]:
     """(chi, sum_n a_n chi(n)) for every primitive chi mod q, one chi(n) at a time."""
     ns, vals = a.nonzero

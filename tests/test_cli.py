@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +344,68 @@ def test_prop21_builds_its_one_over_phi_table_once_per_run(capsys, monkeypatch):
                         "--R", "17", "--trials", "3")
     assert code == 0 and len(out.splitlines()) == 1 + 3
     assert calls == [17]
+
+
+@pytest.mark.parametrize("out", [
+    "missing/x.csv", "",
+    pytest.param("/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                       reason="no /dev/full")),
+])
+def test_out_path_that_cannot_be_written_is_usage_error(tmp_path, capsys, out):
+    """emit ran outside main's try: FileNotFoundError, IsADirectoryError for a
+    directory or ENOSPC on the write escaped as a traceback with exit 1, the code
+    of a failed inequality."""
+    path = str(tmp_path / out)
+    code = main(["--out", path, "verify", "--ineq", "bd", "--N", "50", "--Q", "3",
+                 "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write --out {path!r}: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--ineq", "eq15", "--X"],
+    ["verify", "--ineq", "prop22", "--alpha"],
+    ["verify", "--ineq", "thm21", "--N", "2000", "--Q", "3", "--slack"],
+    ["constants", "--s"],
+])
+def test_non_finite_float_option_is_usage_error(capsys, argv, value):
+    """constants --s nan printed a nan row and exited 1; prop22 --alpha nan
+    skipped its N >= Q^2 exp((alpha log log Q)^3) guard, which compared against nan."""
+    code = main(argv[:-1] + [f"{argv[-1]}={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"usage error: not a finite number: {value!r}\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--ineq", "prop22", "--alpha", "one"],
+                                  ["constants", "--s", "2,3"]])
+def test_float_option_that_is_no_number_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: not a number: {argv[-1]!r}\n"
+
+
+@pytest.mark.parametrize("alpha, code", [("1e300", 2), ("40", 2), ("-1e300", 0)])
+def test_prop22_guard_at_an_alpha_that_overflows(capsys, alpha, code):
+    """(alpha log log Q)^3 or its exp overflowed a float: OverflowError, a traceback
+    with exit 1.  The threshold is inf (usage error) or, for alpha < 0, 0."""
+    assert main(["verify", "--ineq", "prop22", "--N", "3000", "--Q", "5", "--trials", "1",
+                 "--alpha", alpha]) == code
+    assert capsys.readouterr().err.startswith("usage error: prop22 requires N >= ") == (code == 2)
+
+
+@pytest.mark.parametrize("X, code", [("12500000.5", 0), ("12500000.999", 0), ("12500001", 3)])
+def test_eq15_budget_is_checked_against_the_floor_of_X(X, code, capsys, monkeypatch):
+    """eq15 tabulates 1/phi(r) for r <= floor(X); --X 12500000.5 exited 3 although
+    floor(X) is the budget itself.  No table is built: cmd_verify is replaced."""
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: [{"pass": True}])
+    assert cli.INVERSE_PHI_BUDGET == 12_500_000
+    assert main(["verify", "--ineq", "eq15", "--q", "6", "--X", X]) == code
+    assert capsys.readouterr().err.startswith("resource guard: ") == (code == 3)
 
 
 def test_json_encodes_non_finite_as_csv_text(capsys):

@@ -190,7 +190,9 @@ def test_prop31_excluding_chi_D_decreases_lhs():
     setup = one_setup(5, 10**4)
     a = ex.coeffs_lambda_f(setup.N, setup.f)
     Q = setup.Q_real
-    full = ex.sieve_lhs(a, lambda q: math.log(Q / q), range(2, setup.Q + 1))
+    weights = ex.log_weights(Q)
+    weights[1] = 0.0
+    full = ex.ordered_sum(ex.energies(a, setup.Q) * weights)
     assert setup.lhs == ex._log_weighted_lhs(a, Q, setup.chi_D) <= full
 
 
@@ -243,7 +245,7 @@ def test_log_weighted_lhs_leaves_out_the_chi_D_sum(N):
 def test_scan_exceptional_evaluates_each_setup_once(monkeypatch, capsys):
     # --D 5,8 gives three setups (one character of conductor 5, two of 8),
     # each reported by lemma31 and prop31
-    calls = {"sieve_lhs": 0, "L1_chiD": 0}
+    calls = {"energies": 0, "L1_chiD": 0}
 
     def counted(name):
         fn = getattr(ex, name)
@@ -257,7 +259,7 @@ def test_scan_exceptional_evaluates_each_setup_once(monkeypatch, capsys):
         monkeypatch.setattr(ex, name, counted(name))
     assert cli.main(["scan", "exceptional", "--D", "5,8", "--N", "1e4"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 6
-    assert calls == {"sieve_lhs": 1, "L1_chiD": 3}
+    assert calls == {"energies": 1, "L1_chiD": 3}
 
 
 def test_make_setups_agrees_with_one_setup_at_a_time():

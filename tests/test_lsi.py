@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from largesieve import arith, lsi
 from largesieve.arith import euler_phi, factorize, primes_upto
@@ -457,7 +459,8 @@ def test_sieve_lhs_matches_the_per_modulus_path(density, monkeypatch):
     for q in qs:
         old += weight(q) * float(np.sum(np.abs(lsi.primitive_char_sums(a, q)[1]) ** 2))
     seen = reads(monkeypatch)
-    assert lsi.sieve_lhs(a, weight, qs) == pytest.approx(old, rel=1e-12)
+    assert lsi.ordered_sum(lsi.energies(a, 40) * lsi.phi_weights(40)) == pytest.approx(
+        old, rel=1e-12)
     assert seen and all(s == (density < lsi._SPARSE_BELOW) for s in seen)
     assert len(seen) < 20  # only moduli in (20, 40] read a
 
@@ -573,6 +576,77 @@ def test_modulus_one_and_primitive_energy_edge_cases():
     b = lsi.residue_sums(a, q)
     sums = lsi.primitive_char_sums(a, q, b)[1]
     assert lsi.primitive_energy(a, q, b) == float(np.sum(np.abs(sums) ** 2))
+
+
+def test_energies_is_primitive_energy_of_each_fold():
+    """E[q] is primitive_energy of a mod q, bit for bit, and 0.0 at q = 0 and q = 2 (mod 4)."""
+    Q = 60
+    qs = [q for q in range(1, Q + 1) if q % 4 != 2]
+    for a in (integer_coeffs(3000, 9), lsi.prime_indicator(10**4, 5000)):
+        want = [lsi.primitive_energy(a, q, lsi.residue_sums(a, q)) if q in qs else 0.0
+                for q in range(Q + 1)]  # integer residue sums are exact in any order
+        assert lsi.energies(a, Q).tolist() == want
+    a = random_sequence(3000, M=11, seed=8)
+    folds = dict(lsi.residue_folds(a, qs))
+    E = lsi.energies(a, Q)
+    assert E.dtype == np.float64 and E.shape == (Q + 1,)
+    assert E.tolist() == [lsi.primitive_energy(a, q, folds[q]) if q in qs else 0.0
+                          for q in range(Q + 1)]
+    with pytest.raises(DomainError):
+        lsi.energies(a, 0)
+
+
+def below_additive_energy(energy, a, q):
+    """Assert energy <= A(q) of oracles.additive_energy, and return A(q).
+
+    The slack is 1e-12 of q ||a mod q||^2, the sum of |S(x/q)|^2 over every x
+    mod q (Parseval) and the scale of the rounding in both sides: on ones with
+    q | N both are 0 and come out as noise near 1e-26.
+    """
+    from oracles import additive_energy
+    A = additive_energy(a, q)
+    scale = q * float(np.sum(np.abs(lsi.residue_sums(a, q)) ** 2))
+    assert energy <= A + 1e-12 * scale, (q, energy, A)
+    return A
+
+
+def sandwich_sequence(kind, N, M, seed):
+    if kind == "random":
+        return random_sequence(N, M, seed=seed)
+    return CoefficientSequence.ones(N, M) if kind == "ones" else lsi.prime_indicator(M, N)
+
+
+@given(st.sampled_from(["random", "ones", "primes"]), st.integers(1, 2000),
+       st.integers(0, 10**6), st.integers(1, 200), st.integers(0, 2**16))
+@example("ones", 1, 6, 30, 0)  # one a_n at a unit of each q: (q/phi(q)) E = A only at q = 1
+@example("ones", 415, 0, 83, 0)  # 83 | N: E(83) = A(83) = 0, both computed as rounding noise
+@settings(max_examples=25, deadline=None)
+def test_each_energy_sits_below_its_additive_sieve(kind, N, M, Q, seed):
+    """(q/phi(q)) E(q) <= A(q) for each q, and sum A(q) <= (N - 1 + Q^2) ||a||^2.
+
+    A(q) is the additive sieve at the reduced fractions x/q (oracles.additive_energy).
+    For primitive chi, tau(chi-bar) S(chi) = sum over x of chi-bar(x) S(x/q) and
+    |tau|^2 = q; summing over every chi mod q gives phi(q) A(q).  The total is the
+    additive large sieve at spacing 1/Q^2 (Montgomery-Vaughan 1973).
+    """
+    a = sandwich_sequence(kind, N, M, seed)
+    E = lsi.energies(a, Q) * lsi.phi_weights(Q)
+    A = [below_additive_energy(E[q], a, q) for q in range(1, Q + 1)]
+    assert math.fsum(A) <= (a.N - 1 + Q * Q) * a.norm_sq * (1 + 1e-12)
+
+
+def test_twisted_energies_sit_below_their_additive_sieve():
+    """thm13's Ramanujan-twisted folds b mod q obey the same per-modulus bound."""
+    from largesieve.expsums import ramanujan_table
+    a = random_sequence(2000, M=3, seed=9)
+    Q = 30
+    for q in range(1, Q + 1):
+        for r in range(2, Q // q + 1):
+            if q % 4 != 2 and math.gcd(q, r) == 1:
+                b = lsi.fold(lsi.residue_sums(a, q * r) * np.tile(ramanujan_table(r), q), q)
+                twisted = CoefficientSequence(0, np.roll(b, -1))  # a_n = b_(n mod q), n = 1..q
+                below_additive_energy(q / euler_phi(q) * lsi.primitive_energy(a, q, b),
+                                      twisted, q)
 
 
 def direct_primitive_sums(q, b):
@@ -745,9 +819,11 @@ def test_sieve_lhs_against_scalar_oracle():
         energy = sum(abs(sum(av * chi(int(n)) for n, av in zip(ns, a.values))) ** 2
                      for chi in character_group(q) if is_primitive(chi))
         oracle += (q + 0.5) * energy
-    got = lsi.sieve_lhs(a, lambda q: q + 0.5, qs)
+    weights = np.zeros(13)
+    weights[qs] = [q + 0.5 for q in qs]
+    got = lsi.ordered_sum(lsi.energies(a, 12) * weights)
     assert got == pytest.approx(oracle, rel=1e-12)
-    assert lsi.sieve_lhs(a, lambda q: 1.0, []) == 0.0
+    assert lsi.ordered_sum(np.zeros(0)) == 0.0
 
 
 def test_prime_indicator_short_ranges():
@@ -815,8 +891,9 @@ def test_index_storage_matches_dense_on_integer_data():
         for q in (1, 2, 7, 30, 97, 4000):
             assert np.array_equal(lsi.residue_sums(a, q), lsi.residue_sums(b, q)), q
             assert np.array_equal(lsi.residue_sums(b, q), residue_oracle(a, q)), q
-        weight = lambda q: q / euler_phi(q)  # noqa: E731
-        assert lsi.sieve_lhs(a, weight, range(1, 41)) == lsi.sieve_lhs(b, weight, range(1, 41))
+        weights = lsi.phi_weights(40)
+        assert (lsi.ordered_sum(lsi.energies(a, 40) * weights)
+                == lsi.ordered_sum(lsi.energies(b, 40) * weights))
         assert a.norm_sq == b.norm_sq and a.total() == b.total()
 
 
@@ -827,9 +904,9 @@ def test_index_storage_matches_dense_on_random_data():
         ref = lsi.residue_sums(a, q)
         assert np.allclose(lsi.residue_sums(b, q), ref, rtol=1e-12,
                            atol=1e-12 * np.max(np.abs(ref)))
-    weight = lambda q: q / euler_phi(q)  # noqa: E731
-    assert lsi.sieve_lhs(b, weight, range(1, 41)) == pytest.approx(
-        lsi.sieve_lhs(a, weight, range(1, 41)), rel=1e-12)
+    weights = lsi.phi_weights(40)
+    assert lsi.ordered_sum(lsi.energies(b, 40) * weights) == pytest.approx(
+        lsi.ordered_sum(lsi.energies(a, 40) * weights), rel=1e-12)
     assert b.norm_sq == pytest.approx(a.norm_sq, rel=1e-12)
 
 
