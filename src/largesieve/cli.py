@@ -12,6 +12,7 @@ import contextlib
 import decimal
 import json
 import math
+import os
 import re
 import sys
 
@@ -69,7 +70,11 @@ def _json_value(x):
 
 
 def emit(rows: list[dict], columns: list[str], args) -> None:
-    """Write the rows to --out or stdout; an --out that cannot be written is a usage error."""
+    """Write the rows to --out or stdout; an --out that cannot be written is a usage error.
+
+    A reader that closes stdout early (`| head -1`) ends the output, not the
+    run: the rest is dropped and the exit code is still the inequality's.
+    """
     try:
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
             if args.format == "json":
@@ -80,10 +85,15 @@ def emit(rows: list[dict], columns: list[str], args) -> None:
                 out.write(",".join(columns) + "\n")
                 for row in rows:
                     out.write(",".join(_fmt(row.get(c, "")) for c in columns) + "\n")
+            out.flush()
     except OSError as exc:
-        if not args.out:
+        if args.out:
+            raise DomainError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
+        if not isinstance(exc, BrokenPipeError):
             raise
-        raise DomainError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
+        # Python's recipe: fd 1 goes to os.devnull, so that the flush of what is
+        # left in sys.stdout's buffer at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _finite(text: str, wanted: str = "a number") -> float:

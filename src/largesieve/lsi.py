@@ -456,11 +456,30 @@ def _moduli(Q: int) -> range:
     return range(1, Q + 1)
 
 
+# _coprime_total reads w in chunks of this many entries (512 KB of float64),
+# so that one modulus costs a pass in cache, not a copy of w and its R + 1
+# partial sums written back to memory.
+_CHUNK = 1 << 16
+
+
 def _coprime_total(w: np.ndarray, q: int) -> float:
-    """Sum of w[r] over the r coprime to q, added in ascending r; w is overwritten."""
-    for p in factorize(q).prime_factors:
-        w[::p] = 0.0
-    return ordered_sum(w)
+    """Sum of w[r] over the r coprime to q, added in ascending r; w is not written.
+
+    Each chunk is copied to one buffer, zeroed at the multiples of q's primes
+    and accumulated after the running total is added to its first entry, so
+    the additions and their order are those of ordered_sum over all of w.
+    """
+    primes = factorize(q).prime_factors
+    buf, total = np.empty(min(_CHUNK, w.size)), 0.0
+    for lo in range(0, w.size, _CHUNK):
+        chunk = w[lo:lo + _CHUNK]
+        b = buf[:chunk.size]
+        b[:] = chunk
+        for p in primes:
+            b[-lo % p::p] = 0.0
+        b[0] += total
+        total = float(np.add.accumulate(b, out=b)[-1])
+    return total
 
 
 def phi_weights(Q: int) -> np.ndarray:
@@ -577,12 +596,11 @@ def script_L(Q: int, w: np.ndarray) -> float:
     """min over q <= Q of (q/phi(q)) * sum over the r in a set coprime to q of w[r].
 
     w is arith.squarefree_inverse_phi zeroed off the set.  Only the squarefree q
-    are evaluated, each in one reused copy of w: both factors depend only on rad(q).
+    are evaluated: both factors depend only on rad(q).
     """
-    buf, L = np.empty_like(w), math.inf
+    L = math.inf
     for f in (f for f in map(factorize, _moduli(Q)) if all(e == 1 for _, e in f.factors)):
-        buf[:] = w
-        L = min(L, f.n / euler_phi(f) * _coprime_total(buf, f))
+        L = min(L, f.n / euler_phi(f) * _coprime_total(w, f))
     return L
 
 

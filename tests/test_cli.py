@@ -4,11 +4,15 @@ import io
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import largesieve
 from largesieve import arith, cli, exceptional, lsi
 from largesieve.characters import primitive_characters
 from largesieve.cli import main
@@ -574,3 +578,53 @@ def test_prop32_qmax_below_two_is_usage_error(capsys, qmax):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
+
+
+def _fresh_env(**settings):
+    """os.environ without OPENBLAS_NUM_THREADS, with settings added and the package on the path.
+
+    This process imported the package, which set the variable, and numpy, which
+    read it; only a new process shows what the package chooses at import.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(pathlib.Path(largesieve.__file__).parents[1])
+    return env | settings
+
+
+@pytest.mark.parametrize("preset, chosen", [(None, "1"), ("", "1"), ("2", "2")])
+def test_the_cli_runs_one_blas_thread_unless_told_otherwise(preset, chosen):
+    env = _fresh_env() if preset is None else _fresh_env(OPENBLAS_NUM_THREADS=preset)
+    code = ("import os, largesieve.cli; print(os.environ['OPENBLAS_NUM_THREADS']); "
+            "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else '')")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split("\n")
+    assert out[0] == chosen
+    if chosen == "1" and out[1]:  # no /proc/self/task: the thread count cannot be read
+        assert int(out[1]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ineq", "bd", "--N", "3000", "--Q", "12"],  # q = 4, 8, 12 through np.matmul
+    ["--ineq", "mvs", "--N", "500", "--Q", "20"],
+    ["--ineq", "thm12", "--N", "3000", "--Q", "20"],  # reduced_fraction_lhs's np.vdot
+])
+def test_output_does_not_depend_on_the_blas_thread_count(argv):
+    outs = [subprocess.run([sys.executable, "-m", "largesieve.cli", "verify", *argv,
+                            "--trials", "3"], env=_fresh_env(OPENBLAS_NUM_THREADS=n),
+                           capture_output=True, check=True).stdout for n in ("1", "2")]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv, code", [
+    ["--ineq bd --N 50 --Q 3 --trials 200", 0],
+    ["--ineq mvs --N 1000 --Q 30 --ones --sabotage", 1],
+])
+def test_a_closed_stdout_ends_the_output_without_a_traceback(argv, code):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "largesieve.cli", "verify", *argv.split()],
+                              env=_fresh_env(), stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, b"")

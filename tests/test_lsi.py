@@ -1187,15 +1187,22 @@ def test_script_L_min_attained():
 
 
 @pytest.mark.parametrize("R", [1, 2, 30, 500])
-def test_script_L_matches_its_sum(R):
-    """script_L over {1..R} and over the nu set, against the sum added r by r."""
+def test_script_L_matches_its_sum(R, monkeypatch):
+    """script_L over {1..R} and over the nu set, against the sum added r by r.
+
+    Also in chunks of 7, which at R = 500 cross 71 chunk boundaries; w is left as it was.
+    """
     from oracles import euler_phi_td, script_L_sum
     nu_set = [r for r in range(1, R + 1) if nu_td(r)]
     w_nu = np.zeros(R + 1)
     w_nu[nu_set] = [1.0 / euler_phi_td(r) for r in nu_set]
-    for Q in (1, 2, 6, 30):
-        assert script_L(Q, arith.squarefree_inverse_phi(R)) == script_L_sum(Q, range(1, R + 1))
-        assert script_L(Q, w_nu) == script_L_sum(Q, nu_set)
+    w_all, before = arith.squarefree_inverse_phi(R), w_nu.copy()
+    for chunk in (lsi._CHUNK, 7):
+        monkeypatch.setattr(lsi, "_CHUNK", chunk)
+        for Q in (1, 2, 6, 30):
+            assert script_L(Q, w_all) == script_L_sum(Q, range(1, R + 1))
+            assert script_L(Q, w_nu) == script_L_sum(Q, nu_set)
+    assert np.array_equal(w_nu, before)
 
 
 def test_prop21():
