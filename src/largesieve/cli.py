@@ -23,9 +23,6 @@ from largesieve.errors import DomainError, ResourceLimitError
 
 INEQUALITIES = ["mvs", "bd", "thm12", "eq14", "eq15", "eq16", "thm13",
                 "prop21", "prop22", "thm21"]
-# Read as text by argparse and as finite floats by validate_args, so that main
-# reports a non-finite value as a usage error (exit 2), as it does other bad values.
-FLOAT_OPTIONS = {"verify": ("X", "alpha", "slack"), "constants": ("s",)}
 
 
 def _fmt(x) -> str:
@@ -97,7 +94,7 @@ def emit(rows: list[dict], columns: list[str], args) -> None:
 
 
 def _finite(text: str, wanted: str = "a number") -> float:
-    """text read as a finite float: a float option (FLOAT_OPTIONS) or list entry."""
+    """text read as a finite float: a float option or list entry."""
     try:
         value = float(text)
     except ValueError:
@@ -120,62 +117,53 @@ def _integer(text: str) -> int:
     return int(value)
 
 
-def _float_list(text: str) -> list[float]:
-    return [_finite(part) for part in text.split(",") if part]
+def _at_least(lo: int):
+    """The argparse type of an integer option whose values are >= lo."""
+    def read(text: str) -> int:
+        value = _integer(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}: {text!r}")
+        return value
+    return read
 
 
-def _int_list(text: str) -> list[int]:
-    return [_integer(part) for part in text.split(",") if part]
+def _comma_list(read):
+    """The argparse type of a comma list, each entry read by read; empty entries are skipped."""
+    def read_list(text: str) -> list:
+        values = [read(part) for part in text.split(",") if part]
+        if not values:
+            raise argparse.ArgumentTypeError("must list at least one value")
+        return values
+    return read_list
+
+
+_int_list = _comma_list(_integer)
 
 
 def validate_args(args) -> None:
-    """Reject inputs that admit no verdict, as a usage error (exit 2).
+    """Refuse, before any work, a verify run that the parser's bounds let through.
 
-    A verify run whose N exceeds SIEVE_LIMIT_BUDGET, eq15 range X or prop21
-    range R INVERSE_PHI_BUDGET, or Q the square root of SIEVE_LIMIT_BUDGET (the
-    residue vectors of the moduli q <= Q hold about Q^2/2 entries), raises
-    ResourceLimitError (exit 3) here, before any work.  The float options
-    are read here, from their text, by _finite.
+    N above SIEVE_LIMIT_BUDGET, eq15's X or prop21's R above INVERSE_PHI_BUDGET,
+    or Q above the square root of SIEVE_LIMIT_BUDGET (the residue vectors of the
+    moduli q <= Q hold about Q^2/2 entries) is a ResourceLimitError (exit 3).
     """
-    for name in FLOAT_OPTIONS.get(args.command, ()):
-        setattr(args, name, _finite(getattr(args, name)))
-    if args.command == "verify":
-        if args.N < 1:
-            raise DomainError("N must be >= 1")
-        budget = {"N": SIEVE_LIMIT_BUDGET, "X": INVERSE_PHI_BUDGET, "R": INVERSE_PHI_BUDGET,
-                  "Q": math.isqrt(SIEVE_LIMIT_BUDGET)}
-        for name in {"eq15": ("X",), "prop21": ("N", "R", "Q")}.get(args.ineq, ("N", "Q")):
-            if math.floor(getattr(args, name)) > budget[name]:  # eq15 tabulates floor(X)
-                raise ResourceLimitError(
-                    f"{name} = {getattr(args, name)} exceeds budget {budget[name]}")
-        if args.seed < 0:
-            raise DomainError("seed must be >= 0")
-        if args.M < 0:
-            raise DomainError("M must be >= 0")
-        if args.trials < 1:
-            raise DomainError("trials must be >= 1")
-        if args.ineq == "eq15" and args.q < 1:
-            raise DomainError("q must be >= 1")
-        if args.ineq != "eq15" and args.Q < 1:
-            raise DomainError("Q must be >= 1")
-        if args.ineq == "thm21":
-            lsi.check_thm21_range(args.N, args.Q)
-        if args.ineq == "thm12":
-            for p in _int_list(args.P):
-                if p < 2 or factorize(p).factors != ((p, 1),):
-                    raise DomainError(f"P must list primes; got {p}")
-        if args.ineq == "prop21" and args.R < 1:
-            raise DomainError("R must be >= 1")
-    elif args.command == "scan":
-        for name in ("N", "q", "x", "D", "eps"):
-            text = getattr(args, name)
-            if text is not None and not _float_list(text):
-                raise DomainError(f"--{name} must list at least one value")
-        for name in ("q", "D"):
-            if any(v < 1 for v in _int_list(getattr(args, name))):
-                raise DomainError(f"every {name} must be >= 1")
-        if args.name == "prop32" and args.qmax < 2:
-            raise DomainError("qmax must be >= 2: no modulus below 2 is scanned")
+    if args.command != "verify":
+        return
+    budget = {"N": SIEVE_LIMIT_BUDGET, "X": INVERSE_PHI_BUDGET, "R": INVERSE_PHI_BUDGET,
+              "Q": math.isqrt(SIEVE_LIMIT_BUDGET)}
+    for name in {"eq15": ("X",), "prop21": ("N", "R", "Q")}.get(args.ineq, ("N", "Q")):
+        if math.floor(getattr(args, name)) > budget[name]:  # eq15 tabulates floor(X)
+            raise ResourceLimitError(
+                f"{name} = {getattr(args, name)} exceeds budget {budget[name]}")
+    if args.ineq in ("eq14", "eq16", "prop21", "thm12") and args.M + args.N > 2**63 - 1:
+        raise DomainError(f"{args.ineq} requires M + N <= 2^63 - 1, as its support check "
+                          f"holds n as int64; got M + N = {args.M + args.N}")
+    if args.ineq == "thm21":
+        lsi.check_thm21_range(args.N, args.Q)
+    if args.ineq == "thm12":
+        for p in args.P:
+            if p < 2 or factorize(p).factors != ((p, 1),):
+                raise DomainError(f"P must list primes; got {p}")
 
 
 # ---------------------------------------------------------------------
@@ -203,7 +191,7 @@ def cmd_verify(args) -> list[dict]:
         reports = [lsi.lsi_thm21(exceptional.thm21_coefficients(args.N), Q,
                                  condition_slack=args.slack)]
     else:
-        P = frozenset(_int_list(args.P)) if args.ineq == "thm12" else frozenset()
+        P = frozenset(args.P)
         report, support = {  # inequality -> (report on a sequence and Q, support restriction)
             "mvs": (lsi.lsi_mvs, None), "bd": (lsi.lsi_bd, None), "thm13": (lsi.lsi_thm13, None),
             "prop22": (lambda a, Q: lsi.lsi_prop22(a, Q, alpha=args.alpha), None),
@@ -222,8 +210,6 @@ def cmd_verify(args) -> list[dict]:
 
 
 def cmd_constants(args) -> list[dict]:
-    if args.cutoff < 10**3:
-        raise DomainError("cutoff must be >= 10^3")
     L = exceptional.L1_chiD(chi4(), args.T)  # first: it refuses an over-budget T at once
     rows = []
     c = asymptotics.constant_c(args.cutoff)
@@ -245,14 +231,11 @@ def cmd_constants(args) -> list[dict]:
 
 
 def scan_bt(args) -> list[dict]:
-    return [lsi.brun_titchmarsh(N if args.M is None else args.M, N)
-            for N in _int_list(args.N or "1e4")]
+    return [lsi.brun_titchmarsh(N if args.M is None else args.M, N) for N in args.N or [10**4]]
 
 
 def scan_lemma21(args) -> list[dict]:
-    qs = _int_list(args.q)
-    xs = _float_list(args.x)
-    points, fitted = asymptotics.lemma21_scan(qs, xs, cutoff=args.cutoff)
+    points, fitted = asymptotics.lemma21_scan(args.q, args.x, cutoff=args.cutoff)
     rows = [{"kind": "point", **p, "pass": True} for p in points]
     rows.append({"kind": "fitted_C", "q": "", "x": "", "S_q": "", "main_term": "",
                  "deviation": "", "structured_error": "", "ratio": fitted,
@@ -263,9 +246,10 @@ def scan_lemma21(args) -> list[dict]:
 def scan_exceptional(args) -> list[dict]:
     f = exceptional.smooth_bump_function() if args.f == "bump" \
         else exceptional.indicator_function()
-    chars = [(D, idx, chi) for D in _int_list(args.D)
+    Ns = args.N or [10**4]
+    exceptional.sieve_ranges(args.D, Ns)  # before any character group is built
+    chars = [(D, idx, chi) for D in args.D
              for idx, chi in enumerate(real_primitive_characters(D))]
-    Ns = _int_list(args.N or "1e4")
     setups = exceptional.make_setups([chi for _, _, chi in chars], Ns, f)
     rows = []
     for (D, idx, _), setup in zip([c for c in chars for _ in Ns], setups):
@@ -282,11 +266,10 @@ def scan_exceptional(args) -> list[dict]:
 
 def scan_prop32(args) -> list[dict]:
     rows = []
-    Ns = _int_list(args.N) if args.N else None
-    for D in _int_list(args.D):
-        for eps in _float_list(args.eps):
+    for D in args.D:
+        for eps in args.eps:
             lo, hi = exceptional.prop32_window(D, eps)
-            for N in Ns or [int(math.sqrt(lo * hi))]:  # by default the window's geometric mean
+            for N in args.N or [int(math.sqrt(lo * hi))]:  # by default the window's geometric mean
                 rows.append(exceptional.prop32_check(D, eps, N, args.qmax))
     if not any(row["conclusion_tested"] for row in rows):
         raise DomainError("no row meets the hypothesis with a modulus q >= 2 to scan")
@@ -297,7 +280,8 @@ def scan_prop32(args) -> list[dict]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads a word such as -1e3 or -inf as a value.
+    """An ArgumentParser whose errors raise DomainError, which main returns as a
+    usage error (exit 2), and that reads a word such as -1e3 or -inf as a value.
 
     argparse takes a word that starts with "-" for an option flag unless its
     negative-number pattern matches it.  That pattern misses -inf and -nan,
@@ -308,6 +292,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        raise DomainError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,62 +307,60 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run one inequality over a trial grid")
     v.add_argument("--ineq", required=True, choices=INEQUALITIES)
-    v.add_argument("--N", type=_integer, default=200)
-    v.add_argument("--M", type=_integer, default=0)
-    v.add_argument("--Q", type=_integer, default=10)
-    v.add_argument("--trials", type=_integer, default=20)
-    v.add_argument("--seed", type=_integer, default=0)
-    v.add_argument("--q", type=_integer, default=1, help="modulus for eq15")
-    v.add_argument("--X", default="100", help="range for eq15")
-    v.add_argument("--P", default="2,3", help="excluded primes for thm12")
-    v.add_argument("--R", type=_integer, default=5, help="coprimality range for prop21")
-    v.add_argument("--alpha", default="1.0", help="prop22 threshold constant")
-    v.add_argument("--slack", default="1.0",
+    v.add_argument("--N", type=_at_least(1), default=200)
+    v.add_argument("--M", type=_at_least(0), default=0)
+    v.add_argument("--Q", type=_at_least(1), default=10)
+    v.add_argument("--trials", type=_at_least(1), default=20)
+    v.add_argument("--seed", type=_at_least(0), default=0)
+    v.add_argument("--q", type=_at_least(1), default=1, help="modulus for eq15")
+    v.add_argument("--X", type=_finite, default=100.0, help="range for eq15")
+    v.add_argument("--P", type=_int_list, default=[2, 3], help="excluded primes for thm12")
+    v.add_argument("--R", type=_at_least(1), default=5, help="coprimality range for prop21")
+    v.add_argument("--alpha", type=_finite, default=1.0, help="prop22 threshold constant")
+    v.add_argument("--slack", type=_finite, default=1.0,
                    help="thm21 coefficient-condition slack factor")
     v.add_argument("--ones", action="store_true",
                    help="use the all-ones sequence instead of random trials")
     v.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
 
     c = sub.add_parser("constants", help="Euler-product constant and L-value checks")
-    c.add_argument("--cutoff", type=_integer, default=10**6)
+    c.add_argument("--cutoff", type=_at_least(10**3), default=10**6)
     c.add_argument("--T", type=_integer, default=10**6,
                    help="truncation for L(1, chi_4)")
-    c.add_argument("--s", default="2.0", help="series comparison point")
+    c.add_argument("--s", type=_finite, default=2.0, help="series comparison point")
 
     s = sub.add_parser("scan", help="grid scans with fitted constants")
     s.add_argument("name", choices=["bt", "lemma21", "exceptional", "prop32"])
-    s.add_argument("--N", default=None, help="comma list")
+    s.add_argument("--N", type=_int_list, default=None, help="comma list")
     s.add_argument("--M", type=_integer, default=None)
-    s.add_argument("--q", default="1,3,21,105", help="comma list (lemma21)")
-    s.add_argument("--x", default="1e4,1e6", help="comma list (lemma21)")
+    s.add_argument("--q", type=_comma_list(_at_least(1)), default=[1, 3, 21, 105],
+                   help="comma list (lemma21)")
+    s.add_argument("--x", type=_comma_list(_finite), default=[1e4, 1e6],
+                   help="comma list (lemma21)")
     s.add_argument("--cutoff", type=_integer, default=10**6)
-    s.add_argument("--D", default="5", help="comma list of conductors")
+    s.add_argument("--D", type=_comma_list(_at_least(1)), default=[5],
+                   help="comma list of conductors")
     s.add_argument("--f", choices=["indicator", "bump"], default="indicator")
-    s.add_argument("--eps", default="0.9", help="comma list (prop32)")
-    s.add_argument("--qmax", type=_integer, default=10)
+    s.add_argument("--eps", type=_comma_list(_finite), default=[0.9], help="comma list (prop32)")
+    s.add_argument("--qmax", type=_at_least(2), default=10)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         validate_args(args)
-        if args.command == "verify":
-            rows = cmd_verify(args)
-        elif args.command == "constants":
-            rows = cmd_constants(args)
-        else:
-            handler = {"bt": scan_bt, "lemma21": scan_lemma21,
-                       "exceptional": scan_exceptional,
-                       "prop32": scan_prop32}[args.name]
-            rows = handler(args)
+        handler = {"verify": cmd_verify, "constants": cmd_constants, "bt": scan_bt,
+                   "lemma21": scan_lemma21, "exceptional": scan_exceptional,
+                   "prop32": scan_prop32}[getattr(args, "name", args.command)]  # scan <name>
+        rows = handler(args)
         if not rows:
             raise DomainError("the arguments select nothing to check")
         emit(rows, list(rows[0]), args)
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, argparse.ArgumentTypeError) as exc:  # the latter from _finite, _int_list
+    except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     failed = sum(1 for row in rows if row.get("pass") is False)

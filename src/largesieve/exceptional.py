@@ -99,6 +99,19 @@ class ExceptionalSetup:
         return math.floor(self.Q_real)
 
 
+def sieve_ranges(Ds: list[int], Ns: list[int]) -> dict[int, float]:
+    """Q = sqrt(N)/log N for each N, after checking N >= 3 and 3 <= D <= Q for every D."""
+    Qs = {}
+    for N in Ns:
+        if N < 3:
+            raise DomainError("N must be >= 3")
+        Q = Qs[N] = math.sqrt(N) / math.log(N)
+        for D in Ds:
+            if not 3 <= D <= Q:
+                raise DomainError(f"requires 3 <= D <= sqrt(N)/log N = {Q:.3f}; got D = {D}")
+    return Qs
+
+
 def make_setups(characters: list[DirichletCharacter], Ns: list[int],
                 f: TestFunction | None = None) -> list[ExceptionalSetup]:
     """One setup per pair of a real primitive character and an N, character-major.
@@ -109,15 +122,7 @@ def make_setups(characters: list[DirichletCharacter], Ns: list[int],
     """
     f = f if f is not None else indicator_function()
     Ns = [int(N) for N in Ns]
-    Qs = {}
-    for N in Ns:
-        if N < 3:
-            raise DomainError("N must be >= 3")
-        Q = Qs[N] = math.sqrt(N) / math.log(N)
-        for chi in characters:
-            if not 3 <= chi.modulus <= Q:
-                raise DomainError(f"requires 3 <= D <= sqrt(N)/log N = {Q:.3f}; "
-                                  f"got D = {chi.modulus}")
+    Qs = sieve_ranges([chi.modulus for chi in characters], Ns)
     L1s = [L1_chiD(chi) for chi in characters]
     lhs = {}
     for N, Q in Qs.items():
@@ -163,6 +168,16 @@ _LEAF = 1 << 14
 _CHUNK = 1 << 20
 
 
+def L1_truncation(D: int, truncation: int | None = None) -> int:
+    """L1_chiD's truncation T for conductor D, after checking D^2 <= T <= SIEVE_LIMIT_BUDGET."""
+    T = int(max(10**6, 10**3 * D, D * D) if truncation is None else truncation)
+    if T < D * D:
+        raise DomainError(f"truncation {T} below D^2 = {D * D}: tail bound too weak")
+    if T > SIEVE_LIMIT_BUDGET:
+        raise ResourceLimitError(f"truncation {T} exceeds budget {SIEVE_LIMIT_BUDGET}")
+    return T
+
+
 def L1_chiD(chi_D: DirichletCharacter, truncation: int | None = None) -> LTruncation:
     """sum over n <= T of chi_D(n)/n, tail bounded by D/T.
 
@@ -181,13 +196,7 @@ def L1_chiD(chi_D: DirichletCharacter, truncation: int | None = None) -> LTrunca
     character table tiled to _LEAF + D entries.
     """
     D = chi_D.modulus
-    if truncation is None:
-        truncation = max(10**6, 10**3 * D, D * D)
-    T = int(truncation)
-    if T < D * D:
-        raise DomainError(f"truncation {T} below D^2 = {D * D}: tail bound too weak")
-    if T > SIEVE_LIMIT_BUDGET:
-        raise ResourceLimitError(f"truncation {T} exceeds budget {SIEVE_LIMIT_BUDGET}")
+    T = L1_truncation(D, truncation)
     leaf = min(_LEAF, T)
     chi = np.tile(chi_D.values().real, -(-(leaf + D) // D))  # chi[i] = chi_D(i)
     offsets = np.arange(leaf, dtype=np.float64)
@@ -302,6 +311,7 @@ def prop32_check(D: int, eps: float, N: int, q_max: int) -> dict:
         raise DomainError(
             f"N must lie in the window D^(1/eps^2) < N < D^(1/eps^3) "
             f"= ({lo:.4g}, {hi:.4g}); got N = {N}")
+    L1_truncation(D)  # before the characters mod D are built
     chars = real_primitive_characters(D)
     if not chars:
         raise DomainError(f"no real primitive character of conductor {D}")

@@ -556,7 +556,9 @@ def check_eq15(q: int, X: float) -> InequalityReport:
 
 
 def lsi_eq16(a: CoefficientSequence, Q: int) -> InequalityReport:
-    """Log-weighted sieve: weights log(Q/q) over primitive characters."""
+    """Log-weighted sieve: weights log(Q/q) over primitive characters; at Q = 1 all are 0."""
+    if Q < 2:
+        raise DomainError(f"eq16 requires Q >= 2; got Q = {Q}")
     SupportRestriction.rough(Q).validate(a, "eq16")
     lhs = ordered_sum(energies(a, Q) * log_weights(Q))
     rhs = (math.sqrt(a.N) + Q) ** 2 * a.norm_sq

@@ -81,9 +81,12 @@ def test_sabotage_flips_exit_code(capsys):
 
 
 def test_unknown_inequality_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--ineq", "nope"])
-    assert exc.value.code == 2
+    code = main(["verify", "--ineq", "nope"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("usage error: argument --ineq: invalid choice: 'nope'")
 
 
 def test_constants(capsys):
@@ -256,13 +259,12 @@ def test_integral_float_notation_is_read_exactly(text, value):
 ])
 def test_non_integral_integer_option_is_usage_error(capsys, argv):
     """--Q 10.7 was truncated to 10 and the run went ahead (exit 0)."""
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
+    code = main(argv)
     captured = capsys.readouterr()
-    assert exc.value.code == 2
+    assert code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
-    assert f"argument {argv[-2]}: not an integer: {argv[-1]!r}" in captured.err
+    assert captured.err == f"usage error: argument {argv[-2]}: not an integer: {argv[-1]!r}\n"
 
 
 @pytest.mark.parametrize("argv, value", [
@@ -274,11 +276,12 @@ def test_non_integral_integer_option_is_usage_error(capsys, argv):
 ])
 def test_non_integral_integer_list_is_usage_error(capsys, argv, value):
     """--q 10.7 ran at q = 10, --P 2.5,3 at P = {2, 3} and --D 5.9 at D = 5."""
+    option = next(arg for arg, nxt in zip(argv, argv[1:]) if value in nxt)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"usage error: not an integer: {value!r}\n"
+    assert captured.err == f"usage error: argument {option}: not an integer: {value!r}\n"
 
 
 @pytest.mark.parametrize("Q, code", [(10**4, 0), (10**4 + 1, 3)])
@@ -293,7 +296,7 @@ def test_negative_seed_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "usage error: seed must be >= 0\n"
+    assert captured.err == "usage error: argument --seed: must be >= 0: '-1'\n"
 
 
 def test_out_file(tmp_path, capsys):
@@ -383,14 +386,17 @@ def test_non_finite_float_option_is_usage_error(capsys, argv, value):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"usage error: not a finite number: {value!r}\n"
+    assert captured.err == (f"usage error: argument {argv[-1]}: "
+                            f"not a finite number: {value!r}\n")
 
 
 @pytest.mark.parametrize("argv", [["verify", "--ineq", "prop22", "--alpha", "one"],
                                   ["constants", "--s", "2,3"]])
 def test_float_option_that_is_no_number_is_usage_error(capsys, argv):
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"usage error: not a number: {argv[-1]!r}\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: argument {argv[-2]}: not a number: {argv[-1]!r}\n"
 
 
 @pytest.mark.parametrize("alpha, code", [("1e300", 2), ("40", 2), ("-1e300", 0)])
@@ -463,17 +469,20 @@ def test_nothing_to_check_is_usage_error(capsys, argv):
     ["scan", "lemma21", "--cutoff"],
 ])
 def test_non_finite_integer_option_is_usage_error(capsys, argv, value):
-    with pytest.raises(SystemExit) as exc:
-        main(argv[:-1] + [f"{argv[-1]}={value}"])
+    code = main(argv[:-1] + [f"{argv[-1]}={value}"])
     captured = capsys.readouterr()
-    assert exc.value.code == 2
+    assert code == 2
     assert captured.out == ""
-    assert "Traceback" not in captured.err and "not a finite number" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.err == (f"usage error: argument {argv[-1]}: "
+                            f"not a finite number: {value!r}\n")
 
 
 @pytest.mark.parametrize("argv, fault", [
-    (["verify", "--ineq", "mvs", "--M", "-1e3"], "usage error: M must be >= 0"),
-    (["verify", "--ineq", "bd", "--N", "-2.5E1"], "usage error: N must be >= 1"),
+    (["verify", "--ineq", "mvs", "--M", "-1e3"],
+     "usage error: argument --M: must be >= 0: '-1e3'"),
+    (["verify", "--ineq", "bd", "--N", "-2.5E1"],
+     "usage error: argument --N: must be >= 1: '-2.5E1'"),
     (["scan", "bt", "--M", "-1e3"], "usage error: requires M > sqrt(N)"),
 ])
 def test_negative_float_as_its_own_word_reaches_validation(capsys, argv, fault):
@@ -492,13 +501,13 @@ def test_negative_float_as_its_own_word_reaches_validation(capsys, argv, fault):
 ])
 def test_negative_non_finite_as_its_own_word_is_usage_error(capsys, argv):
     """argparse took -inf for an option flag ("expected one argument")."""
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
+    code = main(argv)
     captured = capsys.readouterr()
-    assert exc.value.code == 2
+    assert code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
-    assert f"argument {argv[-2]}: not a finite number" in captured.err
+    assert captured.err == (f"usage error: argument {argv[-2]}: "
+                            f"not a finite number: {argv[-1]!r}\n")
 
 
 def test_prop32_default_truncation_covers_large_conductors(capsys):
@@ -536,7 +545,8 @@ def _option(name, values, optional=True):
 _VERIFY = st.tuples(
     st.sampled_from(["mvs", "bd", "thm12", "eq14", "eq15", "eq16", "thm13",
                      "prop21", "prop22", "thm21"]).map(lambda i: ["verify", f"--ineq={i}"]),
-    _option("N", _ints(1, 300), optional=False), _option("M", _ints(0, 40)),
+    _option("N", _ints(1, 300), optional=False),
+    _option("M", _mostly(_ints(0, 40), st.just("1e19"))),  # M + N past int64
     _option("Q", _ints(1, 6), optional=False),
     _option("trials", _ints(1, 2), optional=False),
     _option("q", _ints(1, 12)), _option("X", _ints(1, 100)),
@@ -549,7 +559,8 @@ _SCAN = st.tuples(
     _option("M", _ints(0, 5000)), _option("q", _comma_list),
     _option("x", _comma_list, optional=False),
     _option("cutoff", st.sampled_from(["-1", "10", "1e3", "inf"]), optional=False),
-    _option("D", _comma_list), _option("eps", st.sampled_from(["0", "0.6", "0.9", "1", ","])),
+    _option("D", _mostly(_comma_list, st.just("1000003"))),  # past every D range and budget
+    _option("eps", st.sampled_from(["0", "0.6", "0.9", "1", ","])),
     _option("qmax", _ints(0, 6)), st.sampled_from([[], ["--f=bump"]]))
 _CONSTANTS = st.tuples(
     st.just(["constants"]),
@@ -564,10 +575,7 @@ _CONSTANTS = st.tuples(
 def test_random_argv_never_raises(fmt, parts):
     argv = fmt + [arg for part in parts for arg in part]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the option
-            code = exc.code
+        code = main(argv)
     assert code in (0, 1, 2, 3), argv
 
 
@@ -578,6 +586,62 @@ def test_prop32_qmax_below_two_is_usage_error(capsys, qmax):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
+
+
+def test_help_is_the_one_argument_that_exits(capsys):
+    """Every bad argument is a usage error that main returns; --help still exits 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: largesieve verify")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+@pytest.mark.parametrize("ones", [[], ["--ones"]])
+@pytest.mark.parametrize("ineq", ["eq14", "eq16", "prop21", "thm12"])
+def test_M_plus_N_past_int64_is_usage_error_before_any_draw(ineq, ones, capsys, monkeypatch):
+    """Their support checks hold n as int64: eq14 at M + N = 2^63 - 1 + 100 wrapped n and
+    reported 32 false violations, and eq16 at M = 1e19 ended in an OverflowError traceback."""
+    M = 2**63 - 1 - 100
+    code, out = run_cli(capsys, "verify", "--ineq", ineq, "--M", str(M), "--N", "100",
+                        "--Q", "3", "--trials", "1", *ones)
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert code == 0 and row["M"] == str(M) and row["pass"] == "True"
+    monkeypatch.setattr(cli, "cmd_verify", _refuse)
+    for argv_M, N in [(str(M), "101"), ("1e19", "100")]:
+        code = main(["verify", "--ineq", ineq, "--M", argv_M, "--N", N, "--Q", "3",
+                     "--trials", "1", *ones])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"usage error: {ineq} requires M + N <= 2^63 - 1, ")
+
+
+def test_eq16_at_Q_1_is_usage_error(capsys):
+    """Its one weight log(Q/1) is 0: the left side was 0 and the run passed for any data."""
+    code = main(["verify", "--ineq", "eq16", "--Q", "1", "--N", "100", "--ones"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "usage error: eq16 requires Q >= 2; got Q = 1\n"
+    assert main(["verify", "--ineq", "eq16", "--Q", "2", "--N", "100", "--ones"]) == 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["scan", "exceptional", "--D", "1000003", "--N", "1e4"], 2),  # D > sqrt(N)/log N
+    (["scan", "exceptional", "--D", "5,1000003", "--N", "1e4"], 2),
+    (["scan", "prop32", "--D", "1000003"], 3),  # L(1, chi_D) needs T >= D^2 > 10^8
+])
+def test_a_conductor_out_of_range_exits_before_any_character_is_built(argv, code, capsys,
+                                                                     monkeypatch):
+    """Both scans built every character mod D first: 3.5 s and 270 MB at D = 1000003."""
+    monkeypatch.setattr(cli, "real_primitive_characters", _refuse)
+    monkeypatch.setattr(exceptional, "real_primitive_characters", _refuse)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith({2: "usage error: ", 3: "resource guard: "}[code])
 
 
 def _fresh_env(**settings):

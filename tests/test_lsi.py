@@ -1065,9 +1065,9 @@ def test_eq15_matches_its_sum(X):
 
 
 def test_eq16():
-    rep = lsi_eq16(random_sequence(30, seed=8, trial=0,
-                                   restriction=SupportRestriction.rough(1)), 1)
-    assert rep.lhs == 0.0 and rep.passed
+    # at Q = 1 the one weight log(Q/1) is 0: the left side is 0 for any data, and checks nothing
+    with pytest.raises(DomainError, match="eq16 requires Q >= 2"):
+        lsi_eq16(random_sequence(30, seed=8, trial=0, restriction=SupportRestriction.rough(1)), 1)
     restriction = SupportRestriction.rough(10)
     for trial in range(20):
         a = random_sequence(1000, seed=9, trial=trial, restriction=restriction)
