@@ -175,17 +175,23 @@ def r2_coprime_table(n_max: int) -> np.ndarray:
 
 
 def von_mangoldt_table(N: int) -> np.ndarray:
-    """Lambda(n) for 0 <= n <= N as a float array (index 0 unused)."""
+    """Lambda(n) for 0 <= n <= N as a float array (index 0 unused).
+
+    Every prime p <= N is set to math.log(p) by one fancy assignment; only
+    the p <= sqrt(N) have higher powers, which a loop over p^k sets to the
+    same value.  np.log is not used: it differs from math.log in the last
+    bit at some primes (285343 is the first), and the tables must not drift.
+    """
     if N > SIEVE_LIMIT_BUDGET:
         raise ResourceLimitError(f"table size {N} exceeds budget {SIEVE_LIMIT_BUDGET}")
     out = np.zeros(N + 1)
     if N < 2:
         return out
-    for p in primes_upto(N):
-        p = int(p)
-        logp = math.log(p)
-        m = p
+    primes = primes_upto(N)
+    out[primes] = np.fromiter(map(math.log, primes), dtype=np.float64, count=primes.size)
+    for p in primes_upto(math.isqrt(N)).tolist():
+        m = p * p
         while m <= N:
-            out[m] = logp
+            out[m] = out[p]
             m *= p
     return out

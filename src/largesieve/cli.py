@@ -144,8 +144,10 @@ def validate_args(args) -> None:
     """Refuse, before any work, a verify run that the parser's bounds let through.
 
     N above SIEVE_LIMIT_BUDGET, eq15's X or prop21's R above INVERSE_PHI_BUDGET,
-    or Q above the square root of SIEVE_LIMIT_BUDGET (the residue vectors of the
-    moduli q <= Q hold about Q^2/2 entries) is a ResourceLimitError (exit 3).
+    Q above the square root of SIEVE_LIMIT_BUDGET (the residue vectors of the
+    moduli q <= Q hold about Q^2/2 entries), or for prop22, which tabulates
+    r(n) for n <= M + N, M + N above SIEVE_LIMIT_BUDGET, is a
+    ResourceLimitError (exit 3).
     """
     if args.command != "verify":
         return
@@ -155,6 +157,9 @@ def validate_args(args) -> None:
         if math.floor(getattr(args, name)) > budget[name]:  # eq15 tabulates floor(X)
             raise ResourceLimitError(
                 f"{name} = {getattr(args, name)} exceeds budget {budget[name]}")
+    if args.ineq == "prop22" and args.M + args.N > SIEVE_LIMIT_BUDGET:
+        raise ResourceLimitError(f"prop22 tabulates r(n) for n <= M + N = {args.M + args.N}, "
+                                 f"which exceeds budget {SIEVE_LIMIT_BUDGET}")
     if args.ineq in ("eq14", "eq16", "prop21", "thm12") and args.M + args.N > 2**63 - 1:
         raise DomainError(f"{args.ineq} requires M + N <= 2^63 - 1, as its support check "
                           f"holds n as int64; got M + N = {args.M + args.N}")

@@ -138,18 +138,46 @@ def make_setups(characters: list[DirichletCharacter], Ns: list[int],
 # coefficients and L(1, chi_D)
 
 
+# coeffs_lambda_f and thm21_coefficients scale the Lambda table in place, this
+# many entries (256 KB of float64) at a time, so that n, n/N and f(n/N) are
+# built per chunk, in cache, and never as arrays of length N.
+_COEFF_CHUNK = 1 << 15
+
+
+def _chunks(values: np.ndarray):
+    """(chunk, n) for consecutive pieces of at most _COEFF_CHUNK entries of
+    values, the a_n for n = 1..N, with n as float64 for each entry of the chunk."""
+    for lo in range(0, values.size, _COEFF_CHUNK):
+        chunk = values[lo:lo + _COEFF_CHUNK]
+        yield chunk, np.arange(lo + 1, lo + chunk.size + 1.0)
+
+
 def coeffs_lambda_f(N: int, f: TestFunction) -> CoefficientSequence:
-    """a_n = Lambda(n) f(n/N) on (0, N]."""
+    """a_n = Lambda(n) f(n/N) on (0, N], the Lambda table multiplied by
+    f(n/N) in place, _COEFF_CHUNK entries at a time; the table is the one
+    array of length N that is built."""
     if N < 3:
         raise DomainError("N must be >= 3")
-    n = np.arange(1, N + 1)
-    return CoefficientSequence(0, von_mangoldt_table(N)[1:] * f(n / N))
+    values = von_mangoldt_table(N)[1:]
+    for chunk, n in _chunks(values):
+        chunk *= f(np.divide(n, N, out=n))
+    return CoefficientSequence(0, values)
 
 
 def thm21_coefficients(N: int) -> CoefficientSequence:
-    """Theorem 2.1's a_n = Lambda(n) f(n/N) / (sqrt(n) log N), f the indicator."""
-    lam = coeffs_lambda_f(N, indicator_function())
-    return CoefficientSequence(0, lam.values / np.sqrt(np.arange(1, N + 1)) / math.log(N))
+    """Theorem 2.1's a_n = Lambda(n) f(n/N) / (sqrt(n) log N), f the indicator.
+
+    f(n/N) = 1 on (0, N] and x * 1.0 = x, so the product by f is left out:
+    the Lambda table is divided in place by sqrt(n) and then by log N.
+    """
+    if N < 3:
+        raise DomainError("N must be >= 3")
+    values = von_mangoldt_table(N)[1:]
+    logN = math.log(N)
+    for chunk, n in _chunks(values):
+        chunk /= np.sqrt(n, out=n)
+        chunk /= logN
+    return CoefficientSequence(0, values)
 
 
 @dataclass(frozen=True)

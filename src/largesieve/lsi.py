@@ -129,14 +129,19 @@ def random_sequence(N: int, M: int = 0, seed: int = 0, trial: int = 0,
     Each (seed, trial) pair keys an independent generator stream, so trials
     share no state and every run is reproducible.  The real parts are the
     first N normal draws and the imaginary parts the next N, both scaled by
-    1/sqrt(2), written into one complex vector.
+    1/sqrt(2).  The draws are taken _CHUNK at a time into one small buffer
+    and scaled from it straight into the real or imaginary parts of the
+    complex vector; chunked draws continue one generator stream, so the
+    values are bit for bit those of two draws of N, and the vector is the
+    only allocation of length N.
     """
     rng = np.random.default_rng([seed, trial, N, M])
     vals = np.empty(N, dtype=np.complex128)
-    draws = rng.standard_normal(N)
-    vals.real = draws
-    vals.imag = rng.standard_normal(out=draws)
-    vals *= 1 / math.sqrt(2)
+    buf = np.empty(min(_CHUNK, N))
+    for part in (vals.real, vals.imag):
+        for lo in range(0, N, _CHUNK):
+            draws = rng.standard_normal(out=buf[:min(_CHUNK, N - lo)])
+            np.multiply(draws, 1 / math.sqrt(2), out=part[lo:lo + _CHUNK])
     if restriction is not None:
         restriction.zero_forbidden(vals, M)
     return CoefficientSequence(M, vals, seed=seed, trial=trial)
@@ -458,7 +463,8 @@ def _moduli(Q: int) -> range:
 
 # _coprime_total reads w in chunks of this many entries (512 KB of float64),
 # so that one modulus costs a pass in cache, not a copy of w and its R + 1
-# partial sums written back to memory.
+# partial sums written back to memory.  random_sequence draws its
+# coefficients through a buffer of the same size, not one of length N.
 _CHUNK = 1 << 16
 
 

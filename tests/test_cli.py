@@ -199,6 +199,19 @@ def test_verify_past_the_sieve_budget_exits_3_before_drawing(capsys, monkeypatch
     assert captured.err.startswith("resource guard: ")
 
 
+def test_prop22_past_the_r2_table_budget_exits_3_before_drawing(capsys, monkeypatch):
+    """prop22 tabulates r(n) for n <= M + N; N = 1e8, M = 2e8 drew 1.6 GB first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coefficient sequence was built")
+
+    monkeypatch.setattr(lsi, "random_sequence", refuse)
+    code = main(["verify", "--ineq", "prop22", "--N", "1000", "--M", "2e8", "--trials", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("resource guard: prop22 tabulates r(n)")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--ineq", "eq15", "--X", "1e12"],  # a table of 1/phi(r) for r <= X
     ["verify", "--ineq", "prop21", "--R", "1000000000"],  # the same table up to R

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from largesieve import cli
 from largesieve import exceptional as ex
-from largesieve.arith import SIEVE_LIMIT_BUDGET
+from largesieve.arith import SIEVE_LIMIT_BUDGET, primes_upto
 from largesieve.characters import chi4, real_primitive_characters
 from largesieve.errors import DomainError, ResourceLimitError
 from largesieve.lsi import CoefficientSequence, primitive_char_sums, random_sequence
@@ -353,3 +354,15 @@ def test_thm21_coefficients():
     assert (a.M, a.N) == (0, N)
     assert np.allclose(a.values, want, rtol=1e-14, atol=0)
     assert a.values.dtype == np.float64
+
+
+def test_thm21_coefficients_allocate_only_the_lambda_table():
+    N = 2**20  # the table is 8 MiB of float64; n, sqrt(n) or a quotient of length N add 8 MiB each
+    primes_upto(N)  # the shared prime table outlives the call, so it is built first
+    tracemalloc.start()
+    try:
+        ex.thm21_coefficients(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * N + (1 << 20), peak

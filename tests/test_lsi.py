@@ -953,7 +953,11 @@ def test_index_storage_checks_its_index():
 @pytest.mark.parametrize("N, M, seed, trial, restriction", [
     (0, 0, 0, 0, None), (1, 3, 1, 0, None), (1000, 0, 7, 2, None),
     (5003, 17, 4, 1, SupportRestriction.rough(10)),
-    (2000, 123, 5, 3, SupportRestriction.prime_free([3, 7, 101]))])
+    (2000, 123, 5, 3, SupportRestriction.prime_free([3, 7, 101])),
+    # the draws are taken lsi._CHUNK at a time
+    (lsi._CHUNK - 1, 0, 2, 0, None), (lsi._CHUNK, 5, 3, 1, None),
+    (lsi._CHUNK + 1, 0, 6, 4, None),
+    (3 * lsi._CHUNK + 5, 40, 8, 2, SupportRestriction.rough(30))])
 def test_random_sequence_matches_the_two_draw_expression(N, M, seed, trial, restriction):
     rng = np.random.default_rng([seed, trial, N, M])
     want = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / math.sqrt(2)
@@ -962,6 +966,17 @@ def test_random_sequence_matches_the_two_draw_expression(N, M, seed, trial, rest
     got = random_sequence(N, M, seed=seed, trial=trial, restriction=restriction)
     assert np.array_equal(got.values, want)
     assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
+
+
+def test_random_sequence_allocates_only_its_vector():
+    N = 2**20  # 16 MiB of complex128; a float64 draw of length N would add 8 MiB
+    tracemalloc.start()
+    try:
+        random_sequence(N, seed=1, trial=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * N + (1 << 20), peak
 
 
 # ---------------------------------------------------------------------
