@@ -56,6 +56,8 @@ CASES = {
     "scan_prop32": "scan prop32 --D 5,8 --eps 0.9,0.8 --qmax 5",
     "scan_lemma21": "scan lemma21 --q 1,3 --x 1e4 --cutoff 1e4",
     "constants": "constants --cutoff 1e4 --T 1e5",
+    # L(1, chi_4) over 57 full chunks of 2^20 terms and a partial one
+    "constants_T6e7": "constants --cutoff 1e4 --T 6e7",
 }
 
 
