@@ -191,7 +191,8 @@ class LTruncation:
 
 # L1_chiD makes and sums its terms in leaves of at most _LEAF consecutive n,
 # whose n, chi_D(n) and quotients (128 KB each) stay in cache; _CHUNK fixes
-# the summation order its value is defined by.
+# the summation order its value is defined by.  Every leaf starts at an odd n:
+# chunks start at 1 + k _CHUNK, and np.sum splits only at multiples of 8.
 _LEAF = 1 << 14
 _CHUNK = 1 << 20
 
@@ -222,23 +223,33 @@ def L1_chiD(chi_D: DirichletCharacter, truncation: int | None = None) -> LTrunca
     the chunk's np.sum, bit for bit, in O(_LEAF + D) memory.  A leaf's n is
     a fixed offset vector plus its first n, and its chi_D(n) a slice of the
     character table tiled to _LEAF + D entries.
+
+    Every leaf starts at an odd n.  For even D, chi_D(n) = 0 at every even n,
+    so the buffer is zeroed once, its odd offsets (the even n) are never
+    written, and only the quotients at the odd n are made, from a contiguous
+    copy of chi_D at the odd residues into every second entry of the buffer;
+    np.sum then adds the same array as before, so the value is unchanged bit
+    for bit.  Odd D takes the same path with a step of 1.
     """
     D = chi_D.modulus
     T = L1_truncation(D, truncation)
     leaf = min(_LEAF, T)
-    chi = np.tile(chi_D.values().real, -(-(leaf + D) // D))  # chi[i] = chi_D(i)
-    offsets = np.arange(leaf, dtype=np.float64)
-    buf = np.empty(leaf)
+    step = 2 if D % 2 == 0 else 1  # every step-th n from an odd one
+    # chi[i] = chi_D(step i + step - 1), copied so that the divide reads it contiguously
+    chi = np.tile(chi_D.values().real, -(-(leaf + D) // D))[step - 1::step].copy()
+    offsets = np.arange(0, leaf, step, dtype=np.float64)
+    n_buf = np.empty(offsets.size)
+    buf = np.zeros(leaf)
 
     def pairwise(lo: int, n: int) -> float:
         """np.sum of the terms of lo, lo + 1, ..., lo + n - 1."""
         if n > _LEAF:
             half = n // 2 - (n // 2) % 8
             return pairwise(lo, half) + pairwise(lo + half, n - half)
-        terms = buf[:n]
-        np.add(offsets[:n], lo, out=terms)
-        np.divide(chi[lo % D: lo % D + n], terms, out=terms)
-        return np.sum(terms)
+        m, i = -(-n // step), lo % D // step
+        np.add(offsets[:m], lo, out=n_buf[:m])
+        np.divide(chi[i:i + m], n_buf[:m], out=buf[:n:step])
+        return np.add.reduce(buf[:n])  # what np.sum calls, without its dispatch
 
     total = 0.0
     for lo in range(1, T + 1, _CHUNK):

@@ -424,6 +424,18 @@ def L1_chiD_chunks(table, T):
     return total
 
 
+def L1_closed_form(table) -> float:
+    """L(1, chi) for a real primitive chi mod D = len(table), table[a] = chi(a),
+    by Dirichlet's finite formulas (Davenport, Multiplicative Number Theory,
+    chs. 1 and 6): -pi D^(-3/2) sum chi(a) a for odd chi, and
+    -D^(-1/2) sum chi(a) log sin(pi a / D) for even chi, over 0 < a < D."""
+    D = len(table)
+    if table[D - 1] < 0:  # chi(-1) = -1
+        return -math.pi * D ** -1.5 * math.fsum(table[a] * a for a in range(1, D))
+    return -math.fsum(table[a] * math.log(math.sin(math.pi * a / D))
+                      for a in range(1, D)) / math.sqrt(D)
+
+
 def T_q(q, x: float) -> float:
     """sum of nu(n) / n over n <= x with (n, q) = 1."""
     return _nu_sums([q], x)[0][2]

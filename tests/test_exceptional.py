@@ -10,7 +10,7 @@ from largesieve.arith import SIEVE_LIMIT_BUDGET, primes_upto
 from largesieve.characters import chi4, real_primitive_characters
 from largesieve.errors import DomainError, ResourceLimitError
 from largesieve.lsi import CoefficientSequence, primitive_char_sums, random_sequence
-from oracles import (divisors_td, eq37_check, lambda_conv, lambda_partial_sum,
+from oracles import (L1_closed_form, divisors_td, eq37_check, lambda_conv, lambda_partial_sum,
                      log_weighted_lhs, mobius_td, one_plus_chi, table_function, von_mangoldt)
 
 
@@ -101,6 +101,25 @@ def test_L1_chi4_leibniz():
     L = ex.L1_chiD(chi4(), 10**6)
     assert abs(L.value - math.pi / 4) <= 4e-6
     assert L.tail_bound == pytest.approx(4e-6)
+
+
+def test_L1_closed_form_anchors():
+    even8 = [chi for chi in real_primitive_characters(8) if chi.values().real[7] > 0]
+    for chi, want in [(chi4(), math.pi / 4),
+                      (real_primitive_characters(3)[0], math.pi / (3 * math.sqrt(3))),
+                      (real_primitive_characters(5)[0],
+                       2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)),
+                      (even8[0], math.log(1 + math.sqrt(2)) / math.sqrt(2))]:
+        assert L1_closed_form(chi.values().real) == pytest.approx(want, rel=1e-13)
+
+
+def test_L1_chiD_matches_the_closed_form():
+    # every real primitive character of conductor 3 <= D < 1000, within the tail bound
+    for D in range(3, 1000):
+        for chi in real_primitive_characters(D):
+            T = max(D * D, 10**4)
+            L = ex.L1_chiD(chi, T)
+            assert abs(L.value - L1_closed_form(chi.values().real)) <= D / T
 
 
 def test_L1_stability_and_tail():

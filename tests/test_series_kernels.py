@@ -182,12 +182,13 @@ def test_L1_chiD_matches_chunk_loop(D):
             assert L.truncation == T
 
 
-@pytest.mark.parametrize("leaf", [128, 1000, 2**16])
+@pytest.mark.parametrize("leaf", [128, 1000, 1001, 2**16, 2**16 + 8])
 def test_L1_chiD_across_leaf_sizes(monkeypatch, leaf):
     # np.sum splits only runs of more than 128 terms, so any leaf of at least
-    # 128 terms gives the same bits
+    # 128 terms gives the same bits; for even D only the odd n are divided,
+    # which relies on every leaf starting at an odd n
     monkeypatch.setattr(ex, "_LEAF", leaf)
-    for chi in real_primitive_characters(5) + real_primitive_characters(8):
+    for chi in [chi for D in (4, 5, 8, 12, 24) for chi in real_primitive_characters(D)]:
         table = chi.values().real
         for T in (leaf - 1, leaf, leaf + 1, 5 * leaf + 3, 2**20 + 129):
             if T >= chi.modulus ** 2:
