@@ -238,8 +238,8 @@ def L1_chiD(chi_D: DirichletCharacter, truncation: int | None = None) -> LTrunca
     # chi[i] = chi_D(step i + step - 1), copied so that the divide reads it contiguously
     chi = np.tile(chi_D.values().real, -(-(leaf + D) // D))[step - 1::step].copy()
     offsets = np.arange(0, leaf, step, dtype=np.float64)
-    n_buf = np.empty(offsets.size)
     buf = np.zeros(leaf)
+    n_buf = buf if step == 1 else np.empty(offsets.size)  # odd D divides in place
 
     def pairwise(lo: int, n: int) -> float:
         """np.sum of the terms of lo, lo + 1, ..., lo + n - 1."""

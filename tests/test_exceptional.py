@@ -118,8 +118,7 @@ def test_L1_chiD_matches_the_closed_form():
     for D in range(3, 1000):
         for chi in real_primitive_characters(D):
             T = max(D * D, 10**4)
-            L = ex.L1_chiD(chi, T)
-            assert abs(L.value - L1_closed_form(chi.values().real)) <= D / T
+            assert abs(ex.L1_chiD(chi, T).value - L1_closed_form(chi.values().real)) <= D / T
 
 
 def test_L1_stability_and_tail():
