@@ -229,14 +229,14 @@ def L1_chiD(chi_D: DirichletCharacter, truncation: int | None = None) -> LTrunca
     written, and only the quotients at the odd n are made, from a contiguous
     copy of chi_D at the odd residues into every second entry of the buffer;
     np.sum then adds the same array as before, so the value is unchanged bit
-    for bit.  Odd D takes the same path with a step of 1.
+    for bit.  Odd D takes the same path with a step of 1, dividing in place.
     """
     D = chi_D.modulus
     T = L1_truncation(D, truncation)
     leaf = min(_LEAF, T)
-    step = 2 if D % 2 == 0 else 1  # every step-th n from an odd one
-    # chi[i] = chi_D(step i + step - 1), copied so that the divide reads it contiguously
-    chi = np.tile(chi_D.values().real, -(-(leaf + D) // D))[step - 1::step].copy()
+    step = 2 if D % 2 == 0 else 1  # for even D only the odd n have chi_D(n) != 0
+    # chi[i] = chi_D(step i + step - 1), contiguous so that the divide reads it fast
+    chi = np.ascontiguousarray(np.tile(chi_D.values().real, -(-(leaf + D) // D))[step - 1::step])
     offsets = np.arange(0, leaf, step, dtype=np.float64)
     buf = np.zeros(leaf)
     n_buf = buf if step == 1 else np.empty(offsets.size)  # odd D divides in place
