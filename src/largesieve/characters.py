@@ -54,20 +54,20 @@ class _Component:
         self.dlog = None  # filled by the group constructor
         self.walk = None  # generator**t mod prime_power for t < order
 
-    def conductors(self, a):
-        """Conductor of n -> e(a dlog(n) / order), for an exponent or an array of them.
+    def conductor(self, a: int) -> int:
+        """Conductor of n -> e(a dlog(n) / order).
 
         The character of exponent a has order o = order / gcd(order, a).  On
         an odd component its conductor is p times the p-part of o; on the
         component of 5 mod 2^e it is 4 o, and on that of -1 it is 4.  The
         conductor of a character is the lcm of those of its components.
         """
-        o = self.order // np.gcd(self.order, a)
+        if a == 0:
+            return 1
+        o = self.order // math.gcd(self.order, a)
         if self.kind == "odd":
-            f = self.p * np.gcd(o, self.prime_power // self.p)
-        else:
-            f = (4 if self.kind == "two_five" else 2) * o
-        return np.where(a == 0, 1, f)
+            return self.p * math.gcd(o, self.prime_power // self.p)
+        return (4 if self.kind == "two_five" else 2) * o
 
 
 class CharacterGroup:
@@ -127,19 +127,10 @@ class CharacterGroup:
     # ---- character enumeration -------------------------------------
 
     def characters(self) -> list[DirichletCharacter]:
-        """All phi(q) characters; the principal character comes first.
-
-        They come in the order of product() over the component exponents,
-        each with its conductor stored: the lcm of the conductors of its
-        components, computed for the whole exponent grid at once in the same
-        (C) order.
-        """
-        conductors = reduce(np.lcm.outer, (c.conductors(np.arange(c.order, dtype=np.int64))
-                                           for c in self.components), np.int64(1))
+        """All phi(q) characters, in the order of product() over the component
+        exponents; the principal character comes first."""
         make = DirichletCharacter._reduced
-        return [make(self, exps, f) for exps, f in
-                zip(product(*(range(c.order) for c in self.components)),
-                    np.ravel(conductors).tolist())]
+        return [make(self, exps) for exps in product(*(range(c.order) for c in self.components))]
 
     def value_matrix(self, chars) -> np.ndarray:
         """Complex value table, one row per character, columns n = 0..q-1.
@@ -184,7 +175,7 @@ class PrimitiveCharacters(Sequence):
 class DirichletCharacter:
     """A character mod q, identified by its exponent vector."""
 
-    __slots__ = ("group", "exponents", "_conductor")
+    __slots__ = ("group", "exponents")
 
     def __init__(self, grp: CharacterGroup, exponents):
         exponents = tuple(int(a) % c.order for a, c in zip(exponents, grp.components))
@@ -192,16 +183,12 @@ class DirichletCharacter:
             raise ValueError("one exponent per group component required")
         self.group = grp
         self.exponents = exponents
-        self._conductor = None
 
     @classmethod
-    def _reduced(cls, grp: CharacterGroup, exponents: tuple, conductor: int):
-        """The character of exponents already reduced mod the component orders.
-
-        Nothing is checked; conductor is stored for conductor() to return.
-        """
+    def _reduced(cls, grp: CharacterGroup, exponents: tuple):
+        """The character of exponents already reduced mod the orders; nothing is checked."""
         chi = cls.__new__(cls)
-        chi.group, chi.exponents, chi._conductor = grp, exponents, conductor
+        chi.group, chi.exponents = grp, exponents
         return chi
 
     @property
@@ -226,11 +213,6 @@ class DirichletCharacter:
         orders = [c.order // math.gcd(c.order, a)
                   for a, c in zip(self.exponents, self.group.components)]
         return math.lcm(*orders)
-
-    @property
-    def is_real(self) -> bool:
-        return all((2 * a) % c.order == 0
-                   for a, c in zip(self.exponents, self.group.components))
 
     # ---- evaluation --------------------------------------------------
 
@@ -267,10 +249,7 @@ def character_group(q: int) -> list[DirichletCharacter]:
 
 def conductor(chi: DirichletCharacter) -> int:
     """Smallest f | q such that chi factors through a character mod f."""
-    if chi._conductor is None:
-        chi._conductor = math.lcm(*(int(c.conductors(a)) for a, c in
-                                    zip(chi.exponents, chi.group.components)))
-    return chi._conductor
+    return math.lcm(*(c.conductor(a) for a, c in zip(chi.exponents, chi.group.components)))
 
 
 def is_primitive(chi: DirichletCharacter) -> bool:
@@ -282,8 +261,15 @@ def primitive_characters(q: int) -> list[DirichletCharacter]:
 
 
 def real_primitive_characters(D: int) -> list[DirichletCharacter]:
-    """Primitive characters of conductor D with chi^2 principal."""
-    return [chi for chi in primitive_characters(D) if chi.is_real]
+    """Primitive characters of conductor D with chi^2 principal.
+
+    Those have every exponent 0 or half its component's (even) order: at
+    most 2^k candidates, built in the order of characters().
+    """
+    grp = group(D)
+    chars = (DirichletCharacter._reduced(grp, exps)
+             for exps in product(*((0, c.order // 2) for c in grp.components)))
+    return [chi for chi in chars if is_primitive(chi)]
 
 
 def chi4() -> DirichletCharacter:

@@ -21,9 +21,8 @@ from largesieve.characters import (DirichletCharacter, group, is_primitive,  # n
                                    real_primitive_characters)
 from largesieve.errors import DomainError, ResourceLimitError
 from largesieve.lsi import (REL_TOL, CoefficientSequence, InequalityReport,  # noqa: F401
-                            _residues, char_sum, energies, log_weights, make_report,
-                            ordered_sum, prime_indicator, primitive_char_sums,
-                            residue_sums)
+                            char_sum, energies, log_weights, make_report, ordered_sum,
+                            prime_indicator, primitive_char_sums, residue_sums)
 
 
 # ---------------------------------------------------------------------
@@ -269,15 +268,12 @@ def _log_weighted_sieve(a: CoefficientSequence, Q: float) -> float:
 
 
 def _log_weighted_lhs(a: CoefficientSequence, Q: float, chi_D: DirichletCharacter,
-                      full: float | None = None) -> float:
+                      full: float) -> float:
     """sum over 1 < q <= Q of log(Q/q) sum* over chi != chi_D of |S_chi|^2.
 
-    The full sieve (evaluated here unless given) less the term
-    log(Q/D) |S_chi_D|^2: every caller has D <= Q, so chi_D, primitive
-    mod D, has its term in the sieve.
+    The full sieve less the term log(Q/D) |S_chi_D|^2: every caller has
+    D <= Q, so chi_D, primitive mod D, has its term in the sieve.
     """
-    if full is None:
-        full = _log_weighted_sieve(a, Q)
     return full - math.log(Q / chi_D.modulus) * abs(char_sum(chi_D, a)) ** 2
 
 
@@ -382,7 +378,8 @@ def eq31_check(a: CoefficientSequence, Q: float,
     """Prime-indicator sieve with the principal and chi_D terms extracted.
 
     RHS = (Q^2 + N) P - log(Q^2/D) P^2 + 2 log(Q/D) P sum_p lambda(p),
-    where P is the number of primes in the support.
+    where P is the number of primes in the support.  S = sum_p chi_D(p) gives
+    the extracted term log(Q/D) |S|^2 and sum_p lambda(p) = P + Re S, an integer.
     """
     D = chi_D.modulus
     if D > Q:
@@ -391,9 +388,9 @@ def eq31_check(a: CoefficientSequence, Q: float,
     if not (np.array_equal(ps, prime_indicator(a.M, a.N).index) and np.all(vals == 1)):
         raise DomainError("coefficients must be the indicator of every prime in (M, M+N]")
     P = float(ps.size)
-    lhs = _log_weighted_lhs(a, Q, chi_D)
-    chi = chi_D.values().real[_residues(ps, D, np.empty_like(ps))]
-    lam_sum = float(np.sum(1.0 + chi))
+    S = char_sum(chi_D, a)
+    lhs = _log_weighted_sieve(a, Q) - math.log(Q / D) * abs(S) ** 2
+    lam_sum = P + S.real
     rhs = ((Q * Q + a.N) * P - math.log(Q * Q / D) * P * P
            + 2.0 * math.log(Q / D) * P * lam_sum)
     return make_report("eq31", {"M": a.M, "N": a.N, "Q": Q, "D": D}, lhs, rhs,

@@ -647,12 +647,12 @@ def lsi_prop22(a: CoefficientSequence, Q: int, alpha: float = 1.0) -> Inequality
         raise DomainError(
             f"prop22 requires N >= Q^2 exp((alpha log log Q)^3) = {threshold:.6g} "
             f"and N > Q^2; got N = {N}")
-    r_n = arith.r2_coprime_table(a.M + N)[a.M + 1:].astype(np.float64)
-    values = a.dense()
-    weighted = CoefficientSequence(a.M, r_n * values)
+    # r(n) a_n is the one array built from the int64 table, and the right
+    # side's sum r(n)^2 |a_n|^2 is its norm_sq
+    weighted = CoefficientSequence(a.M, arith.r2_coprime_table(a.M + N)[a.M + 1:] * a.dense())
     lhs = ordered_sum(energies(weighted, Q))
     denom = math.sqrt(math.log(N / (Q * Q)))
-    rhs = 2 * N / denom * float(np.sum(r_n**2 * np.abs(values) ** 2))
+    rhs = 2 * N / denom * weighted.norm_sq
     R = math.sqrt(N) / Q
     w = arith.squarefree_inverse_phi(math.floor(R))
     for p in primes_upto(R):

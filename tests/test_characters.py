@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from largesieve.arith import euler_phi, factorize, sieve_primes
-from largesieve.characters import (DirichletCharacter, character_group, chi4,
+from largesieve.characters import (CharacterGroup, DirichletCharacter, character_group, chi4,
                                    conductor, group, is_primitive, primitive_characters,
                                    real_primitive_characters)
 from largesieve.errors import DomainError
@@ -81,13 +81,6 @@ def test_conductor_examples():
                 assert conductor(chi) == p
 
 
-def test_stored_conductors_match_the_scalar_conductor():
-    for q in range(1, 301):
-        g = group(q)
-        for chi in g.characters():
-            assert chi._conductor == conductor(DirichletCharacter(g, chi.exponents)), chi
-
-
 def test_is_primitive():
     assert is_primitive(character_group(1)[0])
     for q in (2, 3, 8, 12):
@@ -137,6 +130,29 @@ def test_real_primitive_characters():
     assert c5(2) == c5(3) == -1
     assert real_primitive_characters(6) == []
     assert len(real_primitive_characters(8)) == 2
+
+
+def test_real_primitive_characters_are_the_real_valued_primitive_ones():
+    """Pointwise: the primitive characters whose values are all real, in order."""
+    for D in range(1, 1001):
+        prim = primitive_characters(D)
+        values = group(D).value_matrix(prim)
+        want = [chi for chi, row in zip(prim, values) if np.all(row.imag == 0)]
+        assert real_primitive_characters(D) == want, D
+
+
+def test_real_primitive_characters_build_no_character_list(monkeypatch):
+    calls = []
+    characters = CharacterGroup.characters
+
+    def spy(self):
+        calls.append(self.modulus)
+        return characters(self)
+
+    monkeypatch.setattr(CharacterGroup, "characters", spy)
+    (chi,) = real_primitive_characters(9973)
+    assert calls == []
+    assert chi(2) == -1 and chi(9972) == 1  # 9973 = 5 mod 8 and 1 mod 4
 
 
 def test_value_matrix_equals_the_pointwise_definition():

@@ -212,7 +212,7 @@ def test_prop31_excluding_chi_D_decreases_lhs():
     weights = ex.log_weights(Q)
     weights[1] = 0.0
     full = ex.ordered_sum(ex.energies(a, setup.Q) * weights)
-    assert setup.lhs == ex._log_weighted_lhs(a, Q, setup.chi_D) <= full
+    assert setup.lhs == ex._log_weighted_lhs(a, Q, setup.chi_D, full) <= full
 
 
 @pytest.mark.parametrize("D", [3, 4, 5, 8])
@@ -221,7 +221,8 @@ def test_log_weighted_lhs_against_scalar_oracle(D):
     Q = 9.5
     for chi_D in real_primitive_characters(D):
         oracle = log_weighted_lhs(a, Q, chi_D)
-        assert ex._log_weighted_lhs(a, Q, chi_D) == pytest.approx(oracle, rel=1e-12)
+        full = ex._log_weighted_sieve(a, Q)
+        assert ex._log_weighted_lhs(a, Q, chi_D, full) == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.mark.parametrize("D", [3, 4, 5, 8, 12])
@@ -231,7 +232,8 @@ def test_lemma31_prop31_and_eq31_left_sides_against_their_sum(D):
     for chi_D in real_primitive_characters(D):
         for f in (ex.indicator_function(), ex.smooth_bump_function()):
             a = ex.coeffs_lambda_f(300, f)
-            assert ex._log_weighted_lhs(a, Q, chi_D) == pytest.approx(
+            full = ex._log_weighted_sieve(a, Q)
+            assert ex._log_weighted_lhs(a, Q, chi_D, full) == pytest.approx(
                 log_weighted_lhs(a, Q, chi_D), rel=1e-12, abs=0.0), (chi_D, f.kind)
         a = ex.prime_indicator(40, 300)
         assert ex.eq31_check(a, Q, chi_D).lhs == pytest.approx(
@@ -257,7 +259,7 @@ def test_log_weighted_lhs_leaves_out_the_chi_D_sum(N):
                 sq = np.abs(sums) ** 2
                 sq[[chi == chi_D for chi in chars]] = 0.0
                 expected += math.log(Q / q) * float(np.sum(sq))
-            got = ex._log_weighted_lhs(a, Q, chi_D)
+            got = ex._log_weighted_lhs(a, Q, chi_D, ex._log_weighted_sieve(a, Q))
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0), (D, chi_D)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from largesieve import arith, lsi
 from largesieve.arith import euler_phi, factorize, primes_upto
-from largesieve.characters import (CharacterGroup, character_group, chi4, group,
+from largesieve.characters import (CharacterGroup, character_group, chi4, conductor, group,
                                    is_primitive, primitive_characters)
 from largesieve.errors import DomainError, SupportError
 from largesieve.lsi import (CoefficientSequence, SupportRestriction, brun_titchmarsh,
@@ -665,7 +665,7 @@ def assert_matches_the_direct_path(q, b):
     chars, sums = lsi.primitive_char_sums(None, q, b)
     prim, direct = direct_primitive_sums(q, b)
     assert [chi.exponents for chi in chars] == [chi.exponents for chi in prim], q
-    assert all(chi.group is group(q) and chi._conductor == q for chi in chars), q
+    assert all(chi.group is group(q) and conductor(chi) == q for chi in chars), q
     assert sums.shape == direct.shape, q
     assert np.all(np.abs(sums - direct) <= 1e-12 * np.max(np.abs(direct), initial=0.0)), q
     return chars
@@ -734,7 +734,7 @@ def test_only_the_two_adic_factor_uses_a_value_table(monkeypatch):
 def test_odd_prime_power_rows_follow_the_conductor_formula():
     """The oracle of the rows primitive_char_sums keeps after its FFT mod p^e,
     the k with p not dividing k: they are the k of conductor p^e by the
-    component's conductor formula and by the is_primitive filter, and for
+    component's conductor formula, the rule is_primitive applies, and for
     e = 1 they are every k != 0.  Each group is built outside the group()
     memo."""
     for m in range(3, 5001, 2):
@@ -742,11 +742,9 @@ def test_odd_prime_power_rows_follow_the_conductor_formula():
         if len(factors) != 1:
             continue
         ((p, e),) = factors
-        g = CharacterGroup(m)
-        (component,) = g.components
+        (component,) = CharacterGroup(m).components
         k = np.arange(component.order)
-        rows = np.flatnonzero(component.conductors(k) == m).tolist()
-        assert rows == [chi.exponents[0] for chi in g.characters() if is_primitive(chi)], m
+        rows = [j for j in range(component.order) if component.conductor(j) == m]
         assert rows == np.flatnonzero(k % p != 0 if e > 1 else k != 0).tolist(), m
         assert rows == np.flatnonzero(k % p).tolist(), m  # one rule for every e
 
